@@ -53,11 +53,7 @@ fn main() {
             }
             "all" => wanted.extend(ALL_FIGURES.iter().map(|s| s.to_string())),
             "--help" | "-h" => {
-                println!(
-                    "usage: figures [--rows N] [--grid EXP] [--out DIR] [--threads N] \
-                     [--trace PATH] <all | {}>",
-                    ALL_FIGURES.join(" | ")
-                );
+                println!("{}", usage());
                 return;
             }
             name => wanted.push(name.to_string()),
@@ -72,6 +68,10 @@ fn main() {
         if !ALL_FIGURES.contains(&name.as_str()) {
             die(&format!("unknown figure: {name} (see --help)"));
         }
+    }
+
+    if let Err(msg) = config.validate() {
+        die(&format!("{msg}\n{}", usage()));
     }
 
     progress!(
@@ -134,6 +134,14 @@ fn main() {
         Ok(None) => {}
         Err(e) => warn!("could not write trace artifacts: {e}"),
     }
+}
+
+fn usage() -> String {
+    format!(
+        "usage: figures [--rows N] [--grid EXP] [--out DIR] [--threads N] \
+         [--trace PATH] <all | {}>",
+        ALL_FIGURES.join(" | ")
+    )
 }
 
 fn die(msg: &str) -> ! {

@@ -5,11 +5,13 @@
 
 use std::cell::{Cell, RefCell};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use robustmap_core::{build_map1d, build_map2d, Grid1D, Grid2D, Map1D, Map2D, MeasureConfig};
 use robustmap_systems::{
     single_predicate_plans, two_predicate_plans, SinglePredPlanSet, SystemId, TwoPredPlan,
 };
+use robustmap_workload::gen::MIN_ROWS;
 use robustmap_workload::{TableBuilder, Workload, WorkloadConfig};
 
 /// Harness scale parameters.
@@ -34,6 +36,25 @@ impl Default for HarnessConfig {
             out_dir: PathBuf::from("target/figures"),
             measure: MeasureConfig::default(),
         }
+    }
+}
+
+impl HarnessConfig {
+    /// Reject scales the harness cannot sweep: a table below the
+    /// generator's minimum, or a grid whose smallest selectivity
+    /// `2^-grid_exp` selects under one row (its low cells would all be
+    /// empty).  Checked at the command-line edge, before any build.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.rows < MIN_ROWS {
+            return Err(format!("--rows must be at least {MIN_ROWS}, got {}", self.rows));
+        }
+        if self.grid_exp >= u64::BITS || self.rows >> self.grid_exp == 0 {
+            return Err(format!(
+                "--grid {} is too fine for {} rows: selectivity 2^-{} selects under one row",
+                self.grid_exp, self.rows, self.grid_exp
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -180,9 +201,14 @@ impl Harness {
     }
 
     /// Write an artifact file, returning its path.
+    ///
+    /// The contents go to a temporary file beside the target, which is then
+    /// renamed over it, so a reader never sees a truncated or half-written
+    /// file, even while another writer (a parallel test sharing the output
+    /// directory) rewrites the same artifact.
     pub fn write_artifact(&self, name: &str, contents: &str) -> PathBuf {
         let path = self.config.out_dir.join(name);
-        std::fs::write(&path, contents).expect("write artifact");
+        write_replacing(&path, contents);
         path
     }
 
@@ -192,9 +218,63 @@ impl Harness {
     }
 }
 
+/// Write `contents` to a uniquely named temporary file next to `path`,
+/// then rename it over `path` (atomic on one file system).
+fn write_replacing(path: &Path, contents: &str) {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let name = path.file_name().expect("artifact path names a file").to_string_lossy();
+    let tmp = path.with_file_name(format!(".{name}.{}.{seq}.tmp", std::process::id()));
+    std::fs::write(&tmp, contents).expect("write artifact");
+    std::fs::rename(&tmp, path).expect("rename artifact into place");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn concurrent_artifact_writers_never_expose_a_partial_file() {
+        let dir = PathBuf::from("target/figures-test/write-replacing");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.csv");
+        let bodies: Vec<String> = (0..4).map(|i| format!("{i},").repeat(50_000)).collect();
+        write_replacing(&path, &bodies[0]);
+        // Writers and the reader start together, so reads overlap writes.
+        let start = std::sync::Barrier::new(bodies.len() + 1);
+        std::thread::scope(|scope| {
+            for body in &bodies {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        write_replacing(path, body);
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..200 {
+                let seen = std::fs::read_to_string(&path).unwrap();
+                assert!(bodies.contains(&seen), "read a partial artifact ({} bytes)", seen.len());
+            }
+        });
+        let leftovers =
+            std::fs::read_dir(&dir).unwrap().filter(|e| e.as_ref().unwrap().path() != path).count();
+        assert_eq!(leftovers, 0, "temporary files left behind");
+    }
+
+    #[test]
+    fn validate_rejects_tables_and_grids_too_small_to_sweep() {
+        let cfg = |rows, grid_exp| HarnessConfig { rows, grid_exp, ..Default::default() };
+        assert!(HarnessConfig::default().validate().is_ok());
+        assert!(cfg(0, 0).validate().is_err());
+        assert!(cfg(1, 0).validate().is_err());
+        assert!(cfg(MIN_ROWS, 2).validate().is_ok());
+        assert!(cfg(1 << 10, 10).validate().is_ok());
+        assert!(cfg(1 << 10, 11).validate().is_err());
+        assert!(cfg(1 << 10, 40).validate().is_err());
+        assert!(cfg(u64::MAX, 64).validate().is_err());
+    }
 
     #[test]
     fn tiny_harness_builds_and_caches_maps() {

@@ -19,6 +19,7 @@ pub mod baseline;
 pub mod figures_ext;
 pub mod figures_paper;
 pub mod harness;
+pub mod ledger;
 
 pub use harness::{FigureOutput, Harness, HarnessConfig};
 

@@ -15,12 +15,18 @@
 //!   and fetches in physical order, but without the read-ahead regime.
 //!
 //! All three really fetch every row; they differ only in visit order and in
-//! the access kinds they are charged.
+//! the access kinds they are charged.  The two physical-order disciplines
+//! put their rids in order through [`super::rid_order`]: a linear-time
+//! dense bitmap when the rid list is dense in its own universe, otherwise a
+//! radix sort (improved) or a chunked [`robustmap_storage::RidBitmap`]
+//! (bitmap).  Their sort charges are analytical, so the route taken never
+//! shows in a measurement.
 
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{AccessKind, HeapFile, RidBitmap, Row, Session, StorageError};
+use robustmap_storage::{AccessKind, HeapFile, Row, Session, StorageError};
 
-use crate::batch::{col_from_bytes, radix_sort_by_u64_key, BatchEmitter, ExecConfig, RowBatch};
+use super::rid_order::{sort_physical, sorted_unique};
+use crate::batch::{col_from_bytes, BatchEmitter, ExecConfig, RowBatch};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
 use crate::plan::{ImprovedFetchConfig, Projection};
@@ -68,15 +74,15 @@ pub fn improved(
         session.charge_compares(n * (64 - (n - 1).leading_zeros()) as u64);
     }
     // The simulated cost above is the contract; the real sort is free to be
-    // a radix sort (rids order by their u64 encoding).
-    radix_sort_by_u64_key(&mut rids, |r| r.to_u64());
+    // a distribution sort (dense bitmap or radix).
+    sort_physical(&mut rids);
     fetch_in_physical_order(heap, &rids, Some(cfg), residual, project, session, sink)
 }
 
 /// System B's bitmap-sorted fetch: rids are deduplicated and ordered by a
-/// bitmap (one hash-insert per rid — cheaper than a comparison sort), then
-/// fetched in physical order with short seeks but no sequential read-ahead
-/// regime.
+/// bitmap (charged as one hash-insert per rid — cheaper than a comparison
+/// sort), then fetched in physical order with short seeks but no
+/// sequential read-ahead regime.
 pub fn bitmap_sorted(
     heap: &HeapFile,
     rids: &[Rid],
@@ -86,8 +92,7 @@ pub fn bitmap_sorted(
     sink: &mut dyn FnMut(&Row),
 ) -> Result<u64, ExecError> {
     session.charge_hashes(rids.len() as u64);
-    let bitmap = RidBitmap::from_rids(rids.iter().copied());
-    let ordered: Vec<Rid> = bitmap.iter_rids().collect();
+    let ordered = sorted_unique(rids);
     fetch_in_physical_order(heap, &ordered, None, residual, project, session, sink)
 }
 
@@ -201,7 +206,7 @@ pub fn improved_batched(
     if n > 0 {
         session.charge_compares(n * (64 - (n - 1).leading_zeros()) as u64);
     }
-    radix_sort_by_u64_key(&mut rids, |r| r.to_u64());
+    sort_physical(&mut rids);
     fetch_in_physical_order_batched(heap, &rids, Some(cfg), residual, project, exec_cfg, session, sink)
 }
 
@@ -216,8 +221,7 @@ pub fn bitmap_sorted_batched(
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
     session.charge_hashes(rids.len() as u64);
-    let bitmap = RidBitmap::from_rids(rids.iter().copied());
-    let ordered: Vec<Rid> = bitmap.iter_rids().collect();
+    let ordered = sorted_unique(rids);
     fetch_in_physical_order_batched(heap, &ordered, None, residual, project, cfg, session, sink)
 }
 

@@ -14,6 +14,7 @@ pub mod join;
 pub mod mdam;
 pub mod parallel_scan;
 pub mod rid_join;
+pub mod rid_order;
 pub mod sort;
 pub mod table_scan;
 

@@ -11,11 +11,18 @@
 //! inputs, which is exactly the symmetry Figure 5 shows.  The hash variant
 //! builds on one side and probes with the other — asymmetric, as the paper
 //! (citing \[GLS94\]) points out.
+//!
+//! Both are charged analytically (`n log2 n` compares per sort, `2·build +
+//! probe` hashes), and both execute through [`super::rid_order`]: the sorts
+//! and the build-side set are a linear-time dense bitmap whenever the rid
+//! list is dense in its own universe, and a radix sort or hash set
+//! otherwise.
 
 use robustmap_storage::btree::Entry;
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{FxBuildHasher, FxHashMap, FxHashSet, Row, Session};
+use robustmap_storage::{FxBuildHasher, FxHashMap, Row, Session};
 
+use super::rid_order::{probe_members, sort_physical};
 use crate::exec::ExecCtx;
 use crate::plan::IntersectAlgo;
 
@@ -52,10 +59,9 @@ pub fn intersect_rids(
 fn merge_intersect(mut left: Vec<Rid>, mut right: Vec<Rid>, session: &Session) -> Vec<Rid> {
     charge_sort(session, left.len() as u64);
     charge_sort(session, right.len() as u64);
-    // Charged as comparison sorts above; executed as radix sorts (rids
-    // order by their u64 encoding).
-    crate::batch::radix_sort_by_u64_key(&mut left, |r| r.to_u64());
-    crate::batch::radix_sort_by_u64_key(&mut right, |r| r.to_u64());
+    // Charged as comparison sorts above; executed as distribution sorts.
+    sort_physical(&mut left);
+    sort_physical(&mut right);
     let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);
     let mut compares = 0u64;
@@ -128,11 +134,8 @@ fn hash_intersect_in_memory(build: &[Rid], probe: &[Rid], session: &Session) -> 
     // join orders that the paper (citing [GLS94]) contrasts with the merge
     // join's symmetry.
     session.charge_hashes(2 * build.len() as u64);
-    let mut set: FxHashSet<Rid> =
-        FxHashSet::with_capacity_and_hasher(build.len(), FxBuildHasher::default());
-    set.extend(build.iter().copied());
     session.charge_hashes(probe.len() as u64);
-    probe.iter().copied().filter(|r| set.contains(r)).collect()
+    probe_members(build, probe)
 }
 
 /// Join two covering index scans on rid, producing rows `left key columns

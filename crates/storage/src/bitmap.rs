@@ -6,9 +6,16 @@
 //! sweep.  Bitmaps also implement index intersection ("bitmap-driven ...
 //! intersection", §3.1).
 //!
-//! The implementation is a two-level structure: fixed 1024-bit chunks in a
-//! sorted sparse directory, supporting set/test, union, intersection,
-//! difference and in-order iteration.
+//! Two structures live here:
+//!
+//! * [`RidBitmap`], a two-level structure: fixed 1024-bit chunks in a
+//!   sorted sparse directory, supporting set/test, union, intersection,
+//!   difference and in-order iteration over any position space;
+//! * [`DenseRidSet`], one flat bitmap over a rid list's own `(page, slot)`
+//!   universe, built only when that universe is small next to the list.  It
+//!   sorts, deduplicates and tests membership in linear time, and the
+//!   executor routes every rid sort, rid dedup and rid membership test
+//!   through it (see "Rid ordering" in `docs/DESIGN.md`).
 
 use crate::heap::Rid;
 
@@ -55,14 +62,16 @@ impl RidBitmap {
     /// Build from rids using their packed `u64` encoding (keeps `(page,
     /// slot)` order).  Rids need not be sorted or unique.
     ///
-    /// Bulk construction sorts the packed positions once and appends
-    /// chunks in order: inserting scattered rids directly into the sorted
-    /// chunk vector (as [`RidBitmap::set`] does) would shift the directory
-    /// on every new chunk — quadratic in chunk count, and rid lists
-    /// arriving in key order touch pages in effectively random order.  The
-    /// resulting bitmap is identical either way; this is a real-time
-    /// optimization only (bitmap work is charged separately, via
-    /// [`crate::SimClock::charge_hashes`], by the operators that use it).
+    /// Bulk construction sorts the packed positions once (a comparison
+    /// sort) and appends chunks in order: inserting scattered rids directly
+    /// into the sorted chunk vector (as [`RidBitmap::set`] does) would
+    /// shift the directory on every new chunk — quadratic in chunk count,
+    /// and rid lists arriving in key order touch pages in effectively
+    /// random order.  The resulting bitmap is identical either way.  This
+    /// is the sparse fallback: rid lists dense in their own universe go
+    /// through [`DenseRidSet`] instead, which needs no sort.  Bitmap work
+    /// is charged separately, via [`crate::SimClock::charge_hashes`], by
+    /// the operators that use it.
     pub fn from_rids(rids: impl IntoIterator<Item = Rid>) -> Self {
         let mut positions: Vec<u64> = rids.into_iter().map(|r| r.to_u64()).collect();
         positions.sort_unstable();
@@ -258,6 +267,92 @@ impl FromIterator<u64> for RidBitmap {
     }
 }
 
+/// A flat bitmap over the `(page, slot)` universe of one rid list: bit
+/// `page << slot_bits | slot`, where `slot_bits` is the bit width of the
+/// list's largest slot, so bit order is `(page, slot)` order.
+///
+/// [`DenseRidSet::build`] constructs one only when the bitmap's 64-bit
+/// words number no more than the list's rids, so it never occupies more
+/// memory than the 8-byte-per-rid list it summarises.  Within that bound
+/// every operation is linear: building sets one bit per rid, writing the
+/// set out scans the words once, and membership is one shift and one bit
+/// test.  The choice between this set and the sparse fallbacks (radix
+/// sort, [`RidBitmap`], a hash set) therefore follows from the input's
+/// density alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DenseRidSet {
+    words: Vec<u64>,
+    slot_bits: u32,
+    duplicates: bool,
+}
+
+impl DenseRidSet {
+    /// Set the bits of `rids`, or return `None` when the list is empty or
+    /// its universe `(max_page + 1) << slot_bits` needs more words than
+    /// the list has rids (including a universe too large to count in a
+    /// `u64`, which rids with a page or slot near `u32::MAX` produce).
+    pub fn build(rids: &[Rid]) -> Option<Self> {
+        let (mut max_page, mut max_slot) = (0u32, 0u32);
+        for r in rids {
+            max_page = max_page.max(r.page);
+            max_slot = max_slot.max(r.slot);
+        }
+        let slot_bits = u32::BITS - max_slot.leading_zeros();
+        let bits = (max_page as u64 + 1).checked_mul(1u64 << slot_bits)?;
+        let words = bits.div_ceil(64);
+        if rids.is_empty() || words > rids.len() as u64 {
+            return None;
+        }
+        let mut set =
+            DenseRidSet { words: vec![0; words as usize], slot_bits, duplicates: false };
+        let mut seen = 0u64;
+        for &r in rids {
+            let pos = set.position(r);
+            let (word, mask) = (&mut set.words[(pos / 64) as usize], 1u64 << (pos % 64));
+            seen |= *word & mask;
+            *word |= mask;
+        }
+        set.duplicates = seen != 0;
+        Some(set)
+    }
+
+    #[inline]
+    fn position(&self, rid: Rid) -> u64 {
+        (rid.page as u64) << self.slot_bits | rid.slot as u64
+    }
+
+    /// Whether the list the set was built from held some rid twice.
+    pub fn had_duplicates(&self) -> bool {
+        self.duplicates
+    }
+
+    /// Whether `rid` is in the set.  Rids outside the build universe (a
+    /// slot wider than `slot_bits`, or a page past the last word) are not.
+    #[inline]
+    pub fn contains(&self, rid: Rid) -> bool {
+        if (rid.slot as u64) >> self.slot_bits != 0 {
+            return false;
+        }
+        let pos = self.position(rid);
+        self.words.get((pos / 64) as usize).is_some_and(|w| w & (1u64 << (pos % 64)) != 0)
+    }
+
+    /// Replace the contents of `out` with the set's rids, each once, in
+    /// `(page, slot)` order.
+    pub fn write_sorted(&self, out: &mut Vec<Rid>) {
+        out.clear();
+        out.reserve(self.words.iter().map(|w| w.count_ones() as usize).sum());
+        let slot_mask = (1u64 << self.slot_bits) - 1;
+        for (w, &word) in self.words.iter().enumerate() {
+            let base = (w as u64) * 64;
+            for bit in (BitIter { word }) {
+                let pos = base + bit as u64;
+                out.push(Rid::new((pos >> self.slot_bits) as u32, (pos & slot_mask) as u32));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,5 +436,52 @@ mod tests {
         let dense: RidBitmap = (0..1000u64).collect();
         let sparse: RidBitmap = (0..1000u64).map(|i| i * 10_000).collect();
         assert!(sparse.memory_bytes() > dense.memory_bytes());
+    }
+
+    #[test]
+    fn dense_set_sorts_dedups_and_tests_membership() {
+        let rids = vec![Rid::new(2, 3), Rid::new(0, 1), Rid::new(2, 0), Rid::new(1, 3)];
+        let set = DenseRidSet::build(&rids).expect("4 rids in a 12-bit universe are dense");
+        assert!(!set.had_duplicates());
+        let mut out = vec![Rid::new(9, 9)];
+        set.write_sorted(&mut out);
+        let mut want = rids.clone();
+        want.sort();
+        assert_eq!(out, want);
+        for r in &rids {
+            assert!(set.contains(*r));
+        }
+        assert!(!set.contains(Rid::new(0, 0)));
+        assert!(!set.contains(Rid::new(3, 0)), "page past the universe");
+        assert!(!set.contains(Rid::new(0, 4)), "slot wider than slot_bits");
+        assert!(!set.contains(Rid::new(u32::MAX, u32::MAX)));
+    }
+
+    #[test]
+    fn dense_set_reports_duplicates() {
+        let set = DenseRidSet::build(&[Rid::new(0, 1), Rid::new(0, 1)]).unwrap();
+        assert!(set.had_duplicates());
+        let mut out = Vec::new();
+        set.write_sorted(&mut out);
+        assert_eq!(out, vec![Rid::new(0, 1)]);
+    }
+
+    #[test]
+    fn dense_set_declines_empty_sparse_and_overflowing_inputs() {
+        assert!(DenseRidSet::build(&[]).is_none());
+        // One word for two rids is fine; 2 rids spread over 64 pages of
+        // 256 slots (256 words) are not.
+        assert!(DenseRidSet::build(&[Rid::new(0, 0), Rid::new(0, 63)]).is_some());
+        assert!(DenseRidSet::build(&[Rid::new(0, 255), Rid::new(63, 0)]).is_none());
+        // Universes that overflow u64 (or nearly do) must decline, not wrap.
+        assert!(DenseRidSet::build(&[Rid::new(u32::MAX, u32::MAX)]).is_none());
+        assert!(DenseRidSet::build(&[Rid::new(u32::MAX, 0)]).is_none());
+        assert!(DenseRidSet::build(&[Rid::new(0, u32::MAX)]).is_none());
+        // max_slot == 0: one bit per page.
+        let pages: Vec<Rid> = (0..64).rev().map(|p| Rid::new(p, 0)).collect();
+        let set = DenseRidSet::build(&pages).unwrap();
+        let mut out = Vec::new();
+        set.write_sorted(&mut out);
+        assert_eq!(out, (0..64).map(|p| Rid::new(p, 0)).collect::<Vec<_>>());
     }
 }

@@ -43,7 +43,7 @@ pub mod shared;
 pub mod sim;
 pub mod table;
 
-pub use bitmap::RidBitmap;
+pub use bitmap::{DenseRidSet, RidBitmap};
 pub use btree::{BTree, Key};
 pub use buffer::{BufferPool, EvictionPolicy, FileId, PageId};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

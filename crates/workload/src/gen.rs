@@ -180,6 +180,9 @@ pub const INDEX_DEFS: [(&str, &[usize]); 5] = [
     ("idx_ba", &[COL_B, COL_A]),
 ];
 
+/// The smallest table [`TableBuilder::build`] accepts.
+pub const MIN_ROWS: u64 = 4;
+
 /// Builds [`Workload`]s from [`WorkloadConfig`]s.
 pub struct TableBuilder;
 
@@ -194,7 +197,7 @@ impl TableBuilder {
     /// [`TableBuilder::build_cached`].
     pub fn build(config: WorkloadConfig) -> Workload {
         let n = config.rows;
-        assert!(n >= 4, "workload too small");
+        assert!(n >= MIN_ROWS, "workload too small");
         let mut db = Database::new();
         let table = db.create_table("lineitem", lineitem_schema());
 

@@ -20,7 +20,9 @@ export RUSTFLAGS="${RUSTFLAGS:--D warnings}"
 export RUSTDOCFLAGS="${RUSTDOCFLAGS:--D warnings}"
 
 run cargo build --release --workspace --all-targets
-run cargo test -q --release --workspace
+# --no-fail-fast: one failing test binary must not hide the results of
+# every binary after it.
+run cargo test -q --release --workspace --no-fail-fast
 run cargo test -q --release --workspace --doc
 
 # The batch-executor, adaptive no-switch and concurrent-serving
@@ -79,6 +81,15 @@ cmp target/figures-verify/fig1.csv target/figures-verify/fig1.cold.csv || {
 # a deliberate cost-model change.
 cmp target/figures-verify/fig1.csv crates/bench/baselines/fig1_smoke.csv || {
     echo "fig1 smoke CSV drifted from the committed baseline — simulated costs changed" >&2
+    exit 1
+}
+# The same contract for the fifteen-plan two-predicate map and the grace
+# hash intersection: every cell's seconds bits, IoStats and rows.  These
+# cover every rid sort, rid dedup and rid membership path of the executor.
+ROBUSTMAP_WORKLOAD_CACHE="$SMOKE_CACHE" run cargo run --release -p robustmap-bench --bin ledger -- \
+    --rows 16384 --grid 8 --out target/figures-verify/ledger_smoke.csv
+cmp target/figures-verify/ledger_smoke.csv crates/bench/baselines/ledger_smoke.csv || {
+    echo "rid-path charge ledger drifted from the committed baseline — simulated costs changed" >&2
     exit 1
 }
 
