@@ -31,7 +31,7 @@
 use robustmap_core::analysis::changepoint::{detect_changepoints, ChangepointConfig};
 use robustmap_core::analysis::score::score_map2d;
 use robustmap_core::analysis::symmetry::symmetry_of;
-use robustmap_core::render::{absolute_scale, heatmap_svg, relative_scale, render_map2d_ansi, AsciiOptions};
+use robustmap_core::render::{absolute_scale, heatmap_svg, relative_scale, render_map2d_ansi};
 use robustmap_core::report::score_report;
 use robustmap_core::{measure_batch, measure_plan, MeasureConfig, RelativeMap2D};
 use robustmap_executor::{
@@ -39,14 +39,14 @@ use robustmap_executor::{
     Predicate, Projection, SpillMode,
 };
 use robustmap_storage::EvictionPolicy;
-use robustmap_systems::SystemId;
+use robustmap_systems::{Choice, SystemId};
 use robustmap_workload::{COL_A, COL_B, COL_C};
 
-use crate::harness::{FigureOutput, Harness};
-
-fn ansi_opts() -> AsciiOptions {
-    AsciiOptions { ansi: false, cell_width: 2 }
-}
+use crate::chooser_map::{
+    diagonal_sels, push_checks, relative_svg, side_workload, ChooserMap, Tally,
+};
+use crate::figures_paper::ansi_opts;
+use crate::harness::{full_catalog, FigureOutput, Harness};
 
 /// §4: "some implementations of sorting spill their entire input to disk
 /// if the input size exceeds the memory size by merely a single record.
@@ -221,19 +221,12 @@ pub fn ext_memory(h: &Harness) -> FigureOutput {
 /// particularly dangerous plans and the relative performance of plans
 /// compared to how bad performance could be."
 pub fn ext_worst(h: &Harness) -> FigureOutput {
-    let all = h.map_all_systems();
-    let rel = RelativeMap2D::from_map(&all);
-    let (na, nb) = rel.dims();
+    let cm = ChooserMap::of_map(&h.w, h.map_all_systems());
+    let rel = &cm.rel;
     // Danger map: worst plan cost / best plan cost per cell.
-    let mut danger = vec![0.0f64; na * nb];
-    for ia in 0..na {
-        for ib in 0..nb {
-            let worst = (0..all.plan_count())
-                .map(|p| rel.quotient(p, ia, ib))
-                .fold(1.0f64, f64::max);
-            danger[ia * nb + ib] = worst;
-        }
-    }
+    let danger: Vec<f64> = (0..cm.cells())
+        .map(|c| (0..rel.plans.len()).map(|p| rel.quotient_grid(p)[c]).fold(1.0f64, f64::max))
+        .collect();
     let mut report = render_map2d_ansi(
         &danger,
         &rel.sel_a,
@@ -249,22 +242,17 @@ pub fn ext_worst(h: &Harness) -> FigureOutput {
     // Per-plan: how close does it get to being the worst choice?
     report.push_str("fraction of points where each plan is the worst choice:\n");
     for (p, name) in rel.plans.iter().enumerate() {
-        let worst_count = (0..na * nb)
-            .filter(|&c| {
-                let (ia, ib) = (c / nb, c % nb);
-                let q = rel.quotient(p, ia, ib);
-                (0..all.plan_count()).all(|o| rel.quotient(o, ia, ib) <= q)
-            })
-            .count();
+        // The danger map holds each cell's largest quotient.
+        let worst_count = rel.quotient_grid(p).iter().zip(&danger).filter(|(q, d)| q == d).count();
         report.push_str(&format!(
             "  {:<28} {:>5.1}%\n",
             name,
-            worst_count as f64 / (na * nb) as f64 * 100.0
+            worst_count as f64 / cm.cells() as f64 * 100.0
         ));
     }
     let files = vec![h.write_artifact(
         "ext_worst.svg",
-        &heatmap_svg(&danger, &rel.sel_a, &rel.sel_b, &relative_scale(), "Danger map: worst/best factor per point"),
+        &cm.svg(&danger, "Danger map: worst/best factor per point"),
     )];
     FigureOutput::new("ext_worst", report, files)
 }
@@ -273,70 +261,41 @@ pub fn ext_worst(h: &Harness) -> FigureOutput {
 /// their available plans" — the cross-system shootout plus the §4
 /// robustness-benchmark leaderboard.
 pub fn ext_shootout(h: &Harness) -> FigureOutput {
-    let all = h.map_all_systems();
-    let rel = RelativeMap2D::from_map(&all);
-    let (na, nb) = rel.dims();
-    let system_of = |plan: usize| -> SystemId {
-        match all.plans[plan].as_bytes()[0] {
-            b'A' => SystemId::A,
-            b'B' => SystemId::B,
-            _ => SystemId::C,
-        }
-    };
+    let cm = ChooserMap::of_map(&h.w, h.map_all_systems());
+    let (all, rel) = (&cm.cube, &cm.rel);
+    // Each system's plans, by their name prefix, in `SystemId::all()` order.
+    let own: Vec<Vec<usize>> = ["A", "B", "C"]
+        .iter()
+        .map(|sys| (0..all.plan_count()).filter(|&p| all.plans[p].starts_with(sys)).collect())
+        .collect();
     let mut report = String::from("Extension D: cross-system comparison (15 plans, 3 systems)\n");
-    let mut wins = [0usize; 3];
-    for ia in 0..na {
-        for ib in 0..nb {
-            let best = rel.best_plan_at(ia, ib);
-            wins[match system_of(best) {
-                SystemId::A => 0,
-                SystemId::B => 1,
-                SystemId::C => 2,
-            }] += 1;
-        }
-    }
-    let total = (na * nb) as f64;
-    for (i, sys) in SystemId::all().into_iter().enumerate() {
+    let total = cm.cells() as f64;
+    for (sys, plans) in SystemId::all().into_iter().zip(&own) {
+        let wins = (0..cm.cells()).filter(|&c| plans.contains(&cm.oracle(c))).count();
         report.push_str(&format!(
             "  {} holds the best plan at {:.1}% of points\n",
             sys,
-            wins[i] as f64 / total * 100.0
+            wins as f64 / total * 100.0
         ));
     }
     // Best-achievable-per-system comparison: each system's best plan per
-    // cell vs. the global best.
-    for sys in SystemId::all() {
-        let prefix = match sys {
-            SystemId::A => "A",
-            SystemId::B => "B",
-            SystemId::C => "C",
-        };
-        let sub = all.subset_by_prefix(prefix);
-        let mut worst = 1.0f64;
-        let mut sum = 0.0f64;
-        for ia in 0..na {
-            for ib in 0..nb {
-                let best_sys = (0..sub.plan_count())
-                    .map(|p| sub.get(p, ia, ib).seconds)
-                    .fold(f64::INFINITY, f64::min);
-                let q = best_sys / rel.best_seconds_at(ia, ib).max(1e-12);
-                worst = worst.max(q);
-                sum += q;
-            }
-        }
+    // cell (a chooser over all 15) vs. the global best.
+    for (sys, plans) in SystemId::all().into_iter().zip(&own) {
+        let sub = ChooserMap::of_map(&h.w, all.subset(plans));
+        let t = Tally::of(&cm.regret((0..cm.cells()).map(|c| plans[sub.oracle(c)])));
         report.push_str(&format!(
             "  {}: best-plan-per-point is within {:.1}x of the global best on average \
              (worst {:.1}x)\n",
             sys,
-            sum / total,
-            worst
+            t.mean(),
+            t.worst
         ));
     }
     // Robustness benchmark leaderboard over all 15 plans (§4), with the
     // severity-weighted cliff/knee smoothness columns.
     report.push_str("\nrobustness benchmark leaderboard (all plans):\n");
     let scores: Vec<_> =
-        (0..all.plan_count()).map(|p| score_map2d(&rel, p, &all.seconds_grid(p))).collect();
+        (0..all.plan_count()).map(|p| score_map2d(rel, p, &all.seconds_grid(p))).collect();
     report.push_str(&score_report(&scores));
     let files = vec![
         h.write_artifact("ext_shootout.txt", &report),
@@ -706,26 +665,22 @@ pub fn ext_regression(h: &Harness) -> FigureOutput {
 /// [`choice::Exact`]: robustmap_systems::choice::Exact
 /// [`choice::Joint`]: robustmap_systems::choice::Joint
 pub fn ext_optimizer(h: &Harness) -> FigureOutput {
-    use robustmap_core::{build_map2d, Grid2D, RegressionSuite};
+    use robustmap_core::render::sanitize;
+    use robustmap_core::RegressionSuite;
     use robustmap_systems::choice::{Exact, Joint, WithError};
-    use robustmap_systems::{
-        two_predicate_plans, CatalogStats, ChoicePolicy, Chooser, RobustConfig,
-    };
+    use robustmap_systems::{CatalogStats, ChoicePolicy, Chooser, RobustConfig};
     use robustmap_workload::gen::PredicateDistribution;
-    use robustmap_workload::{JointHistogram, JointHistogramConfig, TableBuilder, WorkloadConfig};
+    use robustmap_workload::{JointHistogram, JointHistogramConfig};
 
     let w = &h.w;
-    let all = h.map_all_systems();
-    let rel = RelativeMap2D::from_map(&all);
-    let plans: Vec<robustmap_systems::TwoPredPlan> = SystemId::all()
-        .into_iter()
-        .flat_map(|s| two_predicate_plans(s, w))
-        .collect();
-    debug_assert_eq!(plans.len(), all.plan_count());
+    let cm = ChooserMap::of_map(w, h.map_all_systems());
+    let plans = full_catalog(w);
+    debug_assert_eq!(plans.len(), cm.cube.plan_count());
     let stats = CatalogStats::of(w);
     let model = &h.config.measure.model;
-    let (na, nb) = rel.dims();
     let chooser = Chooser { plans: &plans, stats: &stats, model, policy: ChoicePolicy::Point };
+    let picks = |choices: &[Choice]| -> Vec<usize> { choices.iter().map(|c| c.plan).collect() };
+    let cells = cm.cells() as f64;
     let mut suite = RegressionSuite::new();
 
     // --- Panel 1: injected estimation error, the original sweep.
@@ -737,57 +692,28 @@ pub fn ext_optimizer(h: &Harness) -> FigureOutput {
         "estimate error", "mean regret", "max regret", ">2x regret", "choices changed"
     ));
     let mut csv = String::from("error,mean_regret,max_regret,frac_over_2x,changed\n");
-    let mut baseline_choice: Vec<usize> = Vec::new();
+    let mut baseline_choice = None;
     for (label, err) in [
         ("exact", 1.0),
         ("16x under", 1.0 / 16.0),
         ("256x under", 1.0 / 256.0),
         ("16x over", 16.0),
     ] {
-        let est = WithError::of(w, err, err);
-        let mut sum = 0.0f64;
-        let mut max = 1.0f64;
-        let mut over2 = 0usize;
-        let mut changed = 0usize;
-        let mut choices = Vec::with_capacity(na * nb);
-        for ia in 0..na {
-            for ib in 0..nb {
-                let (sa, sb) = (rel.sel_a[ia], rel.sel_b[ib]);
-                let (ta, tb) = (w.cal_a.threshold(sa), w.cal_b.threshold(sb));
-                let chosen = chooser.choose(&est, ta, tb).plan;
-                choices.push(chosen);
-                let regret = rel.quotient(chosen, ia, ib);
-                sum += regret;
-                max = max.max(regret);
-                if regret > 2.0 {
-                    over2 += 1;
-                }
-                if let Some(&base) = baseline_choice.get(ia * nb + ib) {
-                    if base != chosen {
-                        changed += 1;
-                    }
-                }
-            }
-        }
-        if baseline_choice.is_empty() {
-            baseline_choice = choices;
-        }
-        let cells = (na * nb) as f64;
+        let choices = picks(&cm.choose(&chooser, &WithError::of(w, err, err)));
+        let regret = cm.regret(choices.iter().copied());
+        let t = Tally::of(&regret);
+        let baseline = baseline_choice.get_or_insert_with(|| choices.clone());
+        let over2 = regret.iter().filter(|&&q| q > 2.0).count() as f64 / cells;
+        let changed = choices.iter().zip(baseline).filter(|(a, b)| a != b).count() as f64 / cells;
         report.push_str(&format!(
             "{:>18} {:>11.2}x {:>11.0}x {:>13.1}% {:>15.1}%\n",
             label,
-            sum / cells,
-            max,
-            over2 as f64 / cells * 100.0,
-            changed as f64 / cells * 100.0,
+            t.mean(),
+            t.worst,
+            over2 * 100.0,
+            changed * 100.0,
         ));
-        csv.push_str(&format!(
-            "{label},{:e},{:e},{:e},{:e}\n",
-            sum / cells,
-            max,
-            over2 as f64 / cells,
-            changed as f64 / cells
-        ));
+        csv.push_str(&format!("{label},{:e},{:e},{over2:e},{changed:e}\n", t.mean(), t.worst));
     }
     report.push_str(
         "reading: moderate estimation errors change half the choices and raise worst-case \
@@ -803,165 +729,108 @@ pub fn ext_optimizer(h: &Harness) -> FigureOutput {
     // pins that sampling noise does not degrade the 15-plan choice.
     let jcfg = JointHistogramConfig::default();
     let joint_u = JointHistogram::build_cached(w, &jcfg);
-    let exact_u = Exact::of(w);
-    let joint_est_u = Joint::new(&joint_u);
-    let mut indep_sum_u = 0.0f64;
-    let mut joint_sum_u = 0.0f64;
-    let mut indep_wrong_u = 0usize;
-    let mut joint_wrong_u = 0usize;
-    for ia in 0..na {
-        for ib in 0..nb {
-            let (sa, sb) = (rel.sel_a[ia], rel.sel_b[ib]);
-            let (ta, tb) = (w.cal_a.threshold(sa), w.cal_b.threshold(sb));
-            let iq = rel.quotient(chooser.choose(&exact_u, ta, tb).plan, ia, ib);
-            let jq = rel.quotient(chooser.choose(&joint_est_u, ta, tb).plan, ia, ib);
-            indep_sum_u += iq;
-            joint_sum_u += jq;
-            if iq > 1.001 {
-                indep_wrong_u += 1;
-            }
-            if jq > 1.001 {
-                joint_wrong_u += 1;
-            }
-        }
-    }
-    let cells_u = (na * nb) as f64;
+    let [indep_u, joint_u] = [
+        cm.choose(&chooser, &Exact::of(w)),
+        cm.choose(&chooser, &Joint::new(&joint_u)),
+    ]
+    .map(|choices| Tally::of(&cm.regret(picks(&choices))));
     report.push_str(&format!(
         "\nuncorrelated map, independence vs joint estimator (15 plans): wrong at \
-         {indep_wrong_u} vs {joint_wrong_u} of {} cells, mean regret {:.3}x vs {:.3}x\n\
+         {} vs {} of {} cells, mean regret {:.3}x vs {:.3}x\n\
          (among 15 plans many cells are near-ties a sampled conjunction flips either way; \
          the regret, not the flip count, is what must not degrade)\n",
-        na * nb,
-        indep_sum_u / cells_u,
-        joint_sum_u / cells_u,
+        indep_u.wrong,
+        joint_u.wrong,
+        indep_u.cells,
+        indep_u.mean(),
+        joint_u.mean(),
     ));
     suite.check_named(
         "uncorrelated map: joint statistics do not hurt the 15-plan choice (mean regret \
          within 2%)",
-        joint_sum_u <= indep_sum_u * 1.02,
-        format!("{:.3}x vs {:.3}x", joint_sum_u / cells_u, indep_sum_u / cells_u),
+        joint_u.sum <= indep_u.sum * 1.02,
+        format!("{:.3}x vs {:.3}x", joint_u.mean(), indep_u.mean()),
     );
 
     // --- Panel 3: the rho = 1 correlated workload, where the
     // independence conjunction is wrong by 1/s.  The full 15-plan catalog
     // is swept through the standard map builder; each estimator's chosen
     // plan is scored against the measured per-cell best.
-    let rows_c = h.w.rows().min(1 << 17); // the ext_correlated workload family, reused
-    let wc = TableBuilder::build_cached(WorkloadConfig {
-        rows: rows_c,
-        seed: h.w.config.seed,
-        predicate_dist: PredicateDistribution::CorrelatedHundredths(100),
-        mutation_epoch: 0,
-    });
-    let plans_c: Vec<robustmap_systems::TwoPredPlan> = SystemId::all()
-        .into_iter()
-        .flat_map(|s| two_predicate_plans(s, &wc))
-        .collect();
+    let wc = side_workload(h, PredicateDistribution::CorrelatedHundredths(100));
+    let plans_c = full_catalog(&wc);
     let stats_c = CatalogStats::of(&wc);
     let joint_c = JointHistogram::build_cached(&wc, &jcfg);
-    let exact_c = Exact::of(&wc);
     let joint_est_c = Joint::new(&joint_c);
     let point_c =
         Chooser { plans: &plans_c, stats: &stats_c, model, policy: ChoicePolicy::Point };
-    let robust_c = Chooser {
-        plans: &plans_c,
-        stats: &stats_c,
-        model,
-        policy: ChoicePolicy::Robust(RobustConfig::default()),
-    };
-    let grid = Grid2D::pow2(h.config.grid_exp.min(6));
-    let m2 = build_map2d(&wc, &plans_c, &grid, &h.config.measure);
-    let (nca, ncb) = m2.dims();
-    let mut indep_tally = ChooserTally::default();
-    let mut robust_tally = ChooserTally::default();
-    let mut indep_regret = vec![1.0f64; nca * ncb];
-    let mut joint_regret = vec![1.0f64; nca * ncb];
+    let robust_c = Chooser { policy: ChoicePolicy::Robust(RobustConfig::default()), ..point_c };
+    let m2 = ChooserMap::map(h, &wc, &plans_c);
+    let (nca, ncb) = m2.rel.dims();
+    let indep = m2.choose(&point_c, &Exact::of(&wc));
+    let joint = m2.choose(&point_c, &joint_est_c);
+    let robust = m2.choose(&robust_c, &joint_est_c);
+    let regret = [&indep, &joint, &robust].map(|choices| m2.regret(picks(choices)));
+    let [it, jt, rt] = regret.each_ref().map(|r| Tally::of(r));
     let mut rho1_csv = String::from(
         "sel_a,sel_b,indep_choice,joint_choice,robust_choice,oracle,indep_regret,\
          joint_regret,robust_regret,indep_margin,joint_margin\n",
     );
-    for ia in 0..nca {
-        for ib in 0..ncb {
-            let (sa, sb) = (m2.sel_a[ia], m2.sel_b[ib]);
-            let (ta, tb) = (wc.cal_a.threshold(sa), wc.cal_b.threshold(sb));
-            let secs: Vec<f64> =
-                (0..plans_c.len()).map(|pi| m2.get(pi, ia, ib).seconds).collect();
-            let indep = point_c.choose(&exact_c, ta, tb);
-            let joint_choice = point_c.choose(&joint_est_c, ta, tb);
-            let robust = robust_c.choose(&joint_est_c, ta, tb);
-            // `indep_tally` compares the two *point* choosers (the
-            // estimator axis); `robust_tally` adds the policy axis.
-            let (iq, jq) = indep_tally.add(&secs, indep.plan, joint_choice.plan);
-            let (_, rq) = robust_tally.add(&secs, indep.plan, robust.plan);
-            let c = ia * ncb + ib;
-            indep_regret[c] = iq;
-            joint_regret[c] = jq;
-            rho1_csv.push_str(&format!(
-                "{sa:e},{sb:e},{},{},{},{},{iq:e},{jq:e},{rq:e},{:e},{:e}\n",
-                robustmap_core::render::sanitize(&indep.name),
-                robustmap_core::render::sanitize(&joint_choice.name),
-                robustmap_core::render::sanitize(&robust.name),
-                robustmap_core::render::sanitize(&plans_c[oracle_of(&secs)].name),
-                indep.margin,
-                joint_choice.margin,
-            ));
-        }
+    for (c, &(sa, sb)) in m2.sels.iter().enumerate() {
+        rho1_csv.push_str(&format!(
+            "{sa:e},{sb:e},{},{},{},{},{:e},{:e},{:e},{:e},{:e}\n",
+            sanitize(&indep[c].name),
+            sanitize(&joint[c].name),
+            sanitize(&robust[c].name),
+            sanitize(&plans_c[m2.oracle(c)].name),
+            regret[0][c],
+            regret[1][c],
+            regret[2][c],
+            indep[c].margin,
+            joint[c].margin,
+        ));
     }
-    let (iw, jw) = indep_tally.wrong_fracs();
-    let (_, rw) = robust_tally.wrong_fracs();
-    let cells_c = indep_tally.cells as f64;
     report.push_str(&format!(
-        "\nrho = 1 (sel_a x sel_b) map, full 15-plan catalog, {nca}x{ncb} grid at {rows_c} \
+        "\nrho = 1 (sel_a x sel_b) map, full 15-plan catalog, {nca}x{ncb} grid at {} \
          rows:\n\
          independence estimator: wrong at {:.1}% of cells, worst regret {:.2}x, mean {:.2}x\n\
          joint estimator:        wrong at {:.1}% of cells, worst regret {:.2}x, mean {:.2}x\n\
          joint + robust policy:  wrong at {:.1}% of cells, worst regret {:.2}x, mean {:.2}x\n",
-        iw * 100.0,
-        indep_tally.point_worst,
-        indep_tally.point_sum / cells_c,
-        jw * 100.0,
-        indep_tally.robust_worst,
-        indep_tally.robust_sum / cells_c,
-        rw * 100.0,
-        robust_tally.robust_worst,
-        robust_tally.robust_sum / cells_c,
+        wc.rows(),
+        it.wrong_frac() * 100.0,
+        it.worst,
+        it.mean(),
+        jt.wrong_frac() * 100.0,
+        jt.worst,
+        jt.mean(),
+        rt.wrong_frac() * 100.0,
+        rt.worst,
+        rt.mean(),
     ));
     // The acceptance comparisons: strictly better where the independence
     // estimator actually errs (at smoke scales it can be error-free,
     // which trivially satisfies the intent).
     suite.check_named(
         "rho = 1 map (15 plans): joint wrong-choice fraction strictly below independence's",
-        indep_tally.robust_wrong < indep_tally.point_wrong || indep_tally.point_wrong == 0,
-        format!("{:.1}% vs {:.1}%", jw * 100.0, iw * 100.0),
+        jt.wrong < it.wrong || it.wrong == 0,
+        format!("{:.1}% vs {:.1}%", jt.wrong_frac() * 100.0, it.wrong_frac() * 100.0),
     );
     suite.check_named(
         "rho = 1 map (15 plans): joint mean regret <= independence's",
-        indep_tally.robust_sum <= indep_tally.point_sum + 1e-9,
-        format!(
-            "{:.3}x vs {:.3}x",
-            indep_tally.robust_sum / cells_c,
-            indep_tally.point_sum / cells_c
-        ),
+        jt.sum <= it.sum + 1e-9,
+        format!("{:.3}x vs {:.3}x", jt.mean(), it.mean()),
     );
     suite.check_named(
         "rho = 1 map (15 plans): joint worst regret <= independence's",
-        indep_tally.robust_worst <= indep_tally.point_worst + 1e-9,
-        format!("{:.2}x vs {:.2}x", indep_tally.robust_worst, indep_tally.point_worst),
+        jt.worst <= it.worst + 1e-9,
+        format!("{:.2}x vs {:.2}x", jt.worst, it.worst),
     );
     suite.check_named(
         "rho = 1 map (15 plans): robust policy over the joint region worst regret <= \
          independence's",
-        robust_tally.robust_worst <= robust_tally.point_worst + 1e-9,
-        format!("{:.2}x vs {:.2}x", robust_tally.robust_worst, robust_tally.point_worst),
+        rt.worst <= it.worst + 1e-9,
+        format!("{:.2}x vs {:.2}x", rt.worst, it.worst),
     );
-
-    report.push_str("\nregression checks over the estimator comparison:\n");
-    let checks = format!(
-        "{}verdict: {}\n",
-        suite.report(),
-        if suite.passed() { "PASS" } else { "FAIL" }
-    );
-    report.push_str(&checks);
+    let checks = push_checks(&mut report, "the estimator comparison", &suite);
 
     let files = vec![
         h.write_artifact("ext_optimizer.csv", &csv),
@@ -969,23 +838,11 @@ pub fn ext_optimizer(h: &Harness) -> FigureOutput {
         h.write_artifact("ext_optimizer_checks.txt", &checks),
         h.write_artifact(
             "ext_optimizer_indep_regret.svg",
-            &heatmap_svg(
-                &indep_regret,
-                &m2.sel_a,
-                &m2.sel_b,
-                &relative_scale(),
-                "Independence-estimator chooser regret at rho = 1 (15 plans)",
-            ),
+            &m2.svg(&regret[0], "Independence-estimator chooser regret at rho = 1 (15 plans)"),
         ),
         h.write_artifact(
             "ext_optimizer_joint_regret.svg",
-            &heatmap_svg(
-                &joint_regret,
-                &m2.sel_a,
-                &m2.sel_b,
-                &relative_scale(),
-                "Joint-estimator chooser regret at rho = 1 (15 plans)",
-            ),
+            &m2.svg(&regret[1], "Joint-estimator chooser regret at rho = 1 (15 plans)"),
         ),
     ];
     FigureOutput::new("ext_optimizer", report, files)
@@ -1001,12 +858,7 @@ const CORRELATED_PLANS: [&str; 4] =
 /// Pull [`CORRELATED_PLANS`] out of the systems' plan catalogs for `w`,
 /// in that order.
 fn correlated_plan_set(w: &robustmap_workload::Workload) -> Vec<robustmap_systems::TwoPredPlan> {
-    use robustmap_systems::two_predicate_plans;
-    let mut catalog: Vec<robustmap_systems::TwoPredPlan> =
-        two_predicate_plans(SystemId::A, w)
-            .into_iter()
-            .chain(two_predicate_plans(SystemId::C, w))
-            .collect();
+    let mut catalog = full_catalog(w);
     CORRELATED_PLANS
         .iter()
         .map(|name| {
@@ -1032,26 +884,15 @@ fn correlated_plan_set(w: &robustmap_workload::Workload) -> Vec<robustmap_system
 /// and maps its regret; `build_map2d` then draws the full
 /// `(sel_a, sel_b)` robustness map at rho = 0 vs rho = 0.75.
 pub fn ext_correlated(h: &Harness) -> FigureOutput {
+    use robustmap_core::render::sanitize;
     use robustmap_core::report::landmark_report;
-    use robustmap_core::{
-        build_map2d, CheckConfig, Grid2D, Map1D, Map2D, Measurement, RegressionSuite, Series,
-    };
+    use robustmap_core::{CheckConfig, Map1D, RegressionSuite, Series};
     use robustmap_systems::{CatalogStats, ChoicePolicy, Chooser, SelEstimates};
     use robustmap_workload::gen::PredicateDistribution;
-    use robustmap_workload::{TableBuilder, WorkloadConfig};
 
     let rows = h.w.rows().min(1 << 17); // a family of extra tables: keep them moderate
-    let seed = h.w.config.seed;
-    let wl = |rho_pct: u32| WorkloadConfig {
-        rows,
-        seed,
-        predicate_dist: PredicateDistribution::CorrelatedHundredths(rho_pct),
-        mutation_epoch: 0,
-    };
     let rho_pct: [u32; 5] = [0, 25, 50, 75, 100];
-    let nr = rho_pct.len();
-    let max_exp = h.config.grid_exp.min(10) as i32;
-    let sels: Vec<f64> = (0..=max_exp).rev().map(|e| 0.5f64.powi(e)).collect();
+    let sels = diagonal_sels(h);
     let ns = sels.len();
 
     let mut report = String::from(
@@ -1064,26 +905,26 @@ pub fn ext_correlated(h: &Harness) -> FigureOutput {
     ));
 
     // --- rho × selectivity sweep, one batched warm sweep per workload.
-    let mut data: Vec<Vec<Measurement>> =
-        vec![vec![Measurement::default(); nr * ns]; CORRELATED_PLANS.len()];
-    let mut chosen = vec![0usize; nr * ns];
-    // The (sel_a × sel_b) maps below reuse two of the sweep's workloads.
-    let map2d_rhos: [u32; 2] = [0, 75];
+    let mut csv = String::from(
+        "rho,selectivity,result_rows,independence_estimate_rows,table_scan,inl_fetch,\
+         hash_intersect,mdam_covering,chosen_join,join_regret\n",
+    );
+    report.push_str(&format!(
+        "{:>6} {:>13} {:>13} {:>12} {:>16}\n",
+        "rho", "mean regret", "worst regret", "wrong join", "mdam beats pick"
+    ));
+    let mut regret_grid = Vec::with_capacity(rho_pct.len() * ns);
+    let mut mdam_edge_worst = 1.0f64;
+    // The (sel_a × sel_b) maps below reuse two of the sweep's workloads;
+    // the landmarks read its last row, the fully correlated diagonal.
     let mut kept: Vec<(u32, robustmap_workload::Workload)> = Vec::new();
-    for (ri, &pct) in rho_pct.iter().enumerate() {
-        let w = TableBuilder::build_cached(wl(pct));
+    let mut diag1 = None;
+    for &pct in &rho_pct {
+        let rho = pct as f64 / 100.0;
+        let w = side_workload(h, PredicateDistribution::CorrelatedHundredths(pct));
         let plans = correlated_plan_set(&w);
         let stats = CatalogStats::of(&w);
-        let thr: Vec<(i64, i64)> =
-            sels.iter().map(|&s| (w.cal_a.threshold(s), w.cal_b.threshold(s))).collect();
-        let specs: Vec<PlanSpec> =
-            plans.iter().flat_map(|p| thr.iter().map(|&(ta, tb)| p.build(ta, tb))).collect();
-        let results = measure_batch(&w.db, &specs, &h.config.measure);
-        for pi in 0..plans.len() {
-            for si in 0..ns {
-                data[pi][ri * ns + si] = results[pi * ns + si];
-            }
-        }
+        let row = ChooserMap::diagonal(h, &w, &plans, rho, &sels);
         // The optimizer chooses *between the two join strategies* (the
         // INL fetch and the hash intersect) under independence.  Its
         // estimates have no rho input at all, so the compile-time
@@ -1095,77 +936,54 @@ pub fn ext_correlated(h: &Harness) -> FigureOutput {
             model: &h.config.measure.model,
             policy: ChoicePolicy::Point,
         };
-        for (si, &s) in sels.iter().enumerate() {
-            let (ta, tb) = thr[si];
-            chosen[ri * ns + si] =
-                1 + join_chooser.choose_at(&SelEstimates::exact(s, s), ta, tb).plan;
-        }
-        if map2d_rhos.contains(&pct) {
-            kept.push((pct, w));
-        }
-    }
-    let rho_axis: Vec<f64> = rho_pct.iter().map(|&p| p as f64 / 100.0).collect();
-    let map = Map2D::new(
-        rho_axis.clone(),
-        sels.clone(),
-        CORRELATED_PLANS.iter().map(|s| s.to_string()).collect(),
-        data,
-    );
-
-    // Regret of the frozen independence choice: chosen join strategy vs
-    // the actually-better of the two at each cell.
-    let mut regret_grid = vec![1.0f64; nr * ns];
-    let mut csv = String::from(
-        "rho,selectivity,result_rows,independence_estimate_rows,table_scan,inl_fetch,\
-         hash_intersect,mdam_covering,chosen_join,join_regret\n",
-    );
-    report.push_str(&format!(
-        "{:>6} {:>13} {:>13} {:>12} {:>16}\n",
-        "rho", "mean regret", "worst regret", "wrong join", "mdam beats pick"
-    ));
-    let mut mdam_edge_worst = 1.0f64;
-    for (ri, &rho) in rho_axis.iter().enumerate() {
-        let (mut sum, mut worst, mut wrong, mut mdam_beats) = (0.0f64, 1.0f64, 0usize, 0usize);
+        let picks: Vec<usize> = row
+            .thr
+            .iter()
+            .zip(&sels)
+            .map(|(&(ta, tb), &s)| join_chooser.choose_at(&SelEstimates::exact(s, s), ta, tb).plan)
+            .collect();
+        // Regret of the frozen independence choice: chosen join strategy
+        // vs the actually-better of the two at each cell.
+        let joins = ChooserMap::new(&w, row.cube.subset(&[1, 2]), row.sels.clone());
+        let regret = joins.regret(picks.iter().copied());
+        let t = Tally::of(&regret);
+        let mut mdam_beats = 0usize;
         for (si, &sel) in sels.iter().enumerate() {
-            let c = ri * ns + si;
-            let (inl, hash) = (map.get(1, ri, si).seconds, map.get(2, ri, si).seconds);
-            let best_join = inl.min(hash).max(1e-12);
-            let picked = map.get(chosen[c], ri, si).seconds;
-            let q = picked / best_join;
-            regret_grid[c] = q;
-            sum += q;
-            worst = worst.max(q);
-            if q > 1.001 {
-                wrong += 1;
-            }
-            let mdam = map.get(3, ri, si).seconds;
+            let pick = 1 + picks[si];
+            let (picked, mdam) = (row.seconds(pick, si), row.seconds(3, si));
             if mdam < picked {
                 mdam_beats += 1;
                 mdam_edge_worst = mdam_edge_worst.max(picked / mdam.max(1e-12));
             }
-            let actual = map.get(0, ri, si).rows;
             let est = sel * sel * rows as f64;
             csv.push_str(&format!(
-                "{rho},{sel:e},{actual},{est:e},{:e},{:e},{:e},{:e},{},{q:e}\n",
-                map.get(0, ri, si).seconds,
-                inl,
-                hash,
-                mdam,
-                robustmap_core::render::sanitize(CORRELATED_PLANS[chosen[c]]),
+                "{rho},{sel:e},{},{est:e},{:e},{:e},{:e},{mdam:e},{},{:e}\n",
+                row.cube.get(0, 0, si).rows,
+                row.seconds(0, si),
+                row.seconds(1, si),
+                row.seconds(2, si),
+                sanitize(CORRELATED_PLANS[pick]),
+                regret[si],
             ));
         }
         report.push_str(&format!(
             "{:>6.2} {:>12.2}x {:>12.2}x {:>11.1}% {:>15.1}%\n",
             rho,
-            sum / ns as f64,
-            worst,
-            wrong as f64 / ns as f64 * 100.0,
+            t.mean(),
+            t.worst,
+            t.wrong_frac() * 100.0,
             mdam_beats as f64 / ns as f64 * 100.0,
         ));
+        regret_grid.extend(regret);
+        if [0, 75].contains(&pct) {
+            kept.push((pct, w));
+        }
+        diag1 = Some(row);
     }
+    let diag1 = diag1.expect("rho sweep").cube;
     // The cardinality landmark behind the regret: on the diagonal the
     // independence estimate is off by ~rho/s.
-    let finest = map.get(0, nr - 1, 0).rows.max(1);
+    let finest = diag1.get(0, 0, 0).rows.max(1);
     let est0 = (sels[0] * sels[0] * rows as f64).max(1.0);
     report.push_str(&format!(
         "at rho = 1.0, sel {:.1e}: {finest} actual result rows vs {est0:.1} estimated under \
@@ -1190,11 +1008,11 @@ pub fn ext_correlated(h: &Harness) -> FigureOutput {
     // robustness map the regression suite also checks).
     let map1 = Map1D {
         sels: sels.clone(),
-        result_rows: (0..ns).map(|si| map.get(0, nr - 1, si).rows.max(1)).collect(),
+        result_rows: (0..ns).map(|si| diag1.get(0, 0, si).rows.max(1)).collect(),
         series: (0..CORRELATED_PLANS.len())
             .map(|pi| Series {
                 plan: CORRELATED_PLANS[pi].to_string(),
-                points: (0..ns).map(|si| *map.get(pi, nr - 1, si)).collect(),
+                points: diag1.plan_grid(pi).to_vec(),
             })
             .collect(),
     };
@@ -1203,12 +1021,14 @@ pub fn ext_correlated(h: &Harness) -> FigureOutput {
 
     // --- The full (sel_a × sel_b) robustness map through the standard map
     // builder, independent (rho = 0) vs strongly correlated (rho = 0.75).
-    let grid = Grid2D::pow2(h.config.grid_exp.min(6));
+    let maps: Vec<(u32, ChooserMap)> = kept
+        .iter()
+        .map(|(pct, w)| (*pct, ChooserMap::map(h, w, &correlated_plan_set(w))))
+        .collect();
     let mut files = Vec::new();
+    let (na, nb) = maps[0].1.rel.dims();
     report.push_str(&format!(
-        "\n(sel_a x sel_b) robustness maps via build_map2d, {}x{} grid:\n",
-        grid.dims().0,
-        grid.dims().1
+        "\n(sel_a x sel_b) robustness maps via build_map2d, {na}x{nb} grid:\n"
     ));
     let mut suite = RegressionSuite::new();
     // The covering MDAM plan is this scenario's robust baseline; at this
@@ -1216,34 +1036,25 @@ pub fn ext_correlated(h: &Harness) -> FigureOutput {
     // correlation moves every landmark.
     let cfg = CheckConfig { max_worst_quotient: 500.0, ..Default::default() };
     suite.check_map1d(&map1, &cfg);
-    for (pct, w) in kept {
-        let plans = correlated_plan_set(&w);
-        let m2 = build_map2d(&w, &plans, &grid, &h.config.measure);
-        let r2 = RelativeMap2D::from_map(&m2);
-        let (na, nb) = r2.dims();
+    for (pct, m2) in maps {
         let mut wins = [0usize; CORRELATED_PLANS.len()];
-        for ia in 0..na {
-            for ib in 0..nb {
-                wins[r2.best_plan_at(ia, ib)] += 1;
-            }
+        for c in 0..m2.cells() {
+            wins[m2.oracle(c)] += 1;
         }
         report.push_str(&format!("  rho {:.2} best-plan share:", pct as f64 / 100.0));
         for (pi, name) in CORRELATED_PLANS.iter().enumerate() {
             report.push_str(&format!(
                 "  {name} {:.0}%",
-                wins[pi] as f64 / (na * nb) as f64 * 100.0
+                wins[pi] as f64 / m2.cells() as f64 * 100.0
             ));
         }
         report.push('\n');
         if pct != 0 {
-            suite.check_map2d(&m2, &["C1"], &cfg);
+            suite.check_map2d(&m2.cube, &["C1"], &cfg);
             files.push(h.write_artifact(
                 &format!("ext_correlated_hash_quotient_rho{pct}.svg"),
-                &heatmap_svg(
-                    r2.quotient_grid(2),
-                    &r2.sel_a,
-                    &r2.sel_b,
-                    &relative_scale(),
+                &m2.svg(
+                    m2.rel.quotient_grid(2),
                     &format!("hash intersect vs best plan at rho = {:.2}", pct as f64 / 100.0),
                 ),
             ));
@@ -1253,71 +1064,17 @@ pub fn ext_correlated(h: &Harness) -> FigureOutput {
     report.push_str(&suite.report());
 
     files.push(h.write_artifact("ext_correlated.csv", &csv));
+    let rho_axis: Vec<f64> = rho_pct.iter().map(|&p| p as f64 / 100.0).collect();
     files.push(h.write_artifact(
         "ext_correlated_regret.svg",
-        &heatmap_svg(
+        &relative_svg(
             &regret_grid,
             &rho_axis,
             &sels,
-            &relative_scale(),
             "Independence-assuming optimizer regret over rho (x) and selectivity (y)",
         ),
     ));
     FigureOutput::new("ext_correlated", report, files)
-}
-
-/// Per-chooser tallies over one set of cells: wrong-choice counts and
-/// regret (chosen plan's measured cost over the per-cell best of the
-/// whole catalog), for the point-estimate chooser and the robust chooser
-/// side by side.
-#[derive(Default)]
-struct ChooserTally {
-    cells: usize,
-    point_wrong: usize,
-    robust_wrong: usize,
-    point_worst: f64,
-    robust_worst: f64,
-    point_sum: f64,
-    robust_sum: f64,
-}
-
-impl ChooserTally {
-    /// Record one cell over the full catalog's measured seconds; returns
-    /// `(point_regret, robust_regret)`.
-    fn add(&mut self, secs: &[f64], point: usize, robust: usize) -> (f64, f64) {
-        let best = secs.iter().copied().fold(f64::INFINITY, f64::min).max(1e-12);
-        let pq = secs[point] / best;
-        let rq = secs[robust] / best;
-        self.cells += 1;
-        if pq > 1.001 {
-            self.point_wrong += 1;
-        }
-        if rq > 1.001 {
-            self.robust_wrong += 1;
-        }
-        self.point_worst = self.point_worst.max(pq);
-        self.robust_worst = self.robust_worst.max(rq);
-        self.point_sum += pq;
-        self.robust_sum += rq;
-        (pq, rq)
-    }
-
-    fn wrong_fracs(&self) -> (f64, f64) {
-        let n = self.cells.max(1) as f64;
-        (self.point_wrong as f64 / n, self.robust_wrong as f64 / n)
-    }
-}
-
-/// Index of the measured-cheapest plan at one cell (ties to the lower
-/// index, like every chooser).
-fn oracle_of(secs: &[f64]) -> usize {
-    let mut best = 0usize;
-    for (i, &s) in secs.iter().enumerate() {
-        if s < secs[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 /// Robust plan selection under estimation uncertainty — the fix for the
@@ -1339,20 +1096,18 @@ fn oracle_of(secs: &[f64]) -> usize {
 /// comparison with named regression checks.
 pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
     use robustmap_core::report::{score_csv, score_report};
-    use robustmap_core::{build_map2d, Grid2D, Map2D, Measurement, RegressionSuite};
+    use robustmap_core::{Map2D, Measurement, RegressionSuite};
     use robustmap_systems::choice::{Exact, Histogram, Joint};
-    use robustmap_systems::{CatalogStats, ChoicePolicy, Chooser, RobustConfig};
+    use robustmap_systems::{CatalogStats, ChoicePolicy, Chooser, Estimator, RobustConfig};
     use robustmap_workload::gen::PredicateDistribution;
-    use robustmap_workload::{
-        EquiDepthHistogram, JointHistogram, JointHistogramConfig, TableBuilder, WorkloadConfig,
-        COL_A, COL_B,
-    };
+    use robustmap_workload::{EquiDepthHistogram, JointHistogram, JointHistogramConfig, Workload};
 
     let rows = h.w.rows().min(1 << 17); // the ext_correlated workload family, reused
-    let seed = h.w.config.seed;
     let rcfg = RobustConfig::default();
     let jcfg = JointHistogramConfig::default();
     let model = &h.config.measure.model;
+    let sels = diagonal_sels(h);
+    let ns = sels.len();
     let mut suite = RegressionSuite::new();
 
     let mut report = String::from(
@@ -1367,18 +1122,69 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
         rcfg.penalty_weight, rcfg.tail_quantile,
     ));
 
-    // --- Part 1: the correlated rho sweep (diagonal sel_a = sel_b = s),
-    // the exact cells where ext_correlated showed the frozen wrong choice.
-    let rho_pct: [u32; 5] = [0, 25, 50, 75, 100];
-    let max_exp = h.config.grid_exp.min(10) as i32;
-    let sels: Vec<f64> = (0..=max_exp).rev().map(|e| 0.5f64.powi(e)).collect();
-    let ns = sels.len();
+    /// One part's outcome: its cube, the point and robust choosers' picks
+    /// and regret grids, and the two-join slice chooser's wrong cells.
+    struct Part {
+        cm: ChooserMap,
+        picks: [Vec<usize>; 2],
+        regret: [Vec<f64>; 2],
+        slice_wrong: usize,
+    }
+    // In every part the point chooser (over `point_est`), the robust
+    // chooser (over the joint statistics) and — the ablation the
+    // catalog-wide hedge is judged against — the old two-join slice (INL
+    // fetch vs hash intersect only, the frozen chooser `ext_correlated`
+    // exposed) pick from `w`'s four-plan catalog at every cell of its
+    // cube: the diagonal at `rho`, or the (sel_a x sel_b) map.  Each cell
+    // is one CSV row: the catalog's seconds, both picks beside the oracle,
+    // their regrets and margins.
+    let plan_short = ["scan", "inl", "hash", "mdam"];
     let mut csv = String::from(
         "workload,rho,sel_a,sel_b,table_scan,inl_fetch,hash_intersect,mdam_covering,\
          point_choice,robust_choice,oracle_choice,point_regret,robust_regret,point_margin,\
          robust_margin\n",
     );
-    let plan_short = ["scan", "inl", "hash", "mdam"];
+    let mut part = |name: &str, rho: f64, w: &Workload, map: bool, point_est: &dyn Estimator| {
+        let plans = correlated_plan_set(w);
+        let stats = CatalogStats::of(w);
+        let joint = JointHistogram::build_cached(w, &jcfg);
+        let point_chooser =
+            Chooser { plans: &plans, stats: &stats, model, policy: ChoicePolicy::Point };
+        let robust_chooser = Chooser { policy: ChoicePolicy::Robust(rcfg), ..point_chooser };
+        let slice_chooser = Chooser { plans: &plans[1..3], ..point_chooser };
+        let cm = if map {
+            ChooserMap::map(h, w, &plans)
+        } else {
+            ChooserMap::diagonal(h, w, &plans, rho, &sels)
+        };
+        let slice = cm.choose(&slice_chooser, point_est);
+        let slice_wrong = Tally::of(&cm.regret(slice.iter().map(|c| 1 + c.plan))).wrong;
+        let [point, robust] =
+            [cm.choose(&point_chooser, point_est), cm.choose(&robust_chooser, &Joint::new(&joint))];
+        let picks = [&point, &robust].map(|ch| ch.iter().map(|c| c.plan).collect::<Vec<_>>());
+        let regret = picks.each_ref().map(|p| cm.regret(p.iter().copied()));
+        for (c, &(sa, sb)) in cm.sels.iter().enumerate() {
+            csv.push_str(&format!(
+                "{name},{rho},{sa:e},{sb:e},{:e},{:e},{:e},{:e},{},{},{},{:e},{:e},{:e},{:e}\n",
+                cm.seconds(0, c),
+                cm.seconds(1, c),
+                cm.seconds(2, c),
+                cm.seconds(3, c),
+                plan_short[picks[0][c]],
+                plan_short[picks[1][c]],
+                plan_short[cm.oracle(c)],
+                regret[0][c],
+                regret[1][c],
+                point[c].margin,
+                robust[c].margin,
+            ));
+        }
+        Part { cm, picks, regret, slice_wrong }
+    };
+
+    // --- Part 1: the correlated rho sweep (diagonal sel_a = sel_b = s),
+    // the exact cells where ext_correlated showed the frozen wrong choice.
+    let rho_pct: [u32; 5] = [0, 25, 50, 75, 100];
     report.push_str(&format!(
         "\ndiagonal sweep:\n{:>6} {:>12} {:>13} {:>12} {:>13}\n",
         "rho", "point wrong", "robust wrong", "point worst", "robust worst"
@@ -1386,81 +1192,29 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
     let mut hedge_benign = true;
     let mut total_point_wrong = 0usize;
     let mut total_robust_wrong = 0usize;
-    let mut slice_tally = ChooserTally::default();
-    let mut rho1_diag = ChooserTally::default();
+    let mut slice_wrong = 0usize;
+    let mut rho1_diag = [Tally::default(); 2];
     for &pct in &rho_pct {
-        let w = TableBuilder::build_cached(WorkloadConfig {
-            rows,
-            seed,
-            predicate_dist: PredicateDistribution::CorrelatedHundredths(pct),
-            mutation_epoch: 0,
-        });
-        let plans = correlated_plan_set(&w);
-        let stats = CatalogStats::of(&w);
-        let joint = JointHistogram::build_cached(&w, &jcfg);
-        let point_est = Exact::of(&w);
-        let robust_est = Joint::new(&joint);
-        let point_chooser =
-            Chooser { plans: &plans, stats: &stats, model, policy: ChoicePolicy::Point };
-        let robust_chooser =
-            Chooser { plans: &plans, stats: &stats, model, policy: ChoicePolicy::Robust(rcfg) };
-        // The ablation the catalog-wide hedge is judged against: the old
-        // two-join slice (INL fetch vs hash intersect only), the frozen
-        // chooser `ext_correlated` exposed.
-        let slice_chooser =
-            Chooser { plans: &plans[1..3], stats: &stats, model, policy: ChoicePolicy::Point };
-        let thr: Vec<(i64, i64)> =
-            sels.iter().map(|&s| (w.cal_a.threshold(s), w.cal_b.threshold(s))).collect();
-        let specs: Vec<PlanSpec> = plans
-            .iter()
-            .flat_map(|p| thr.iter().map(|&(ta, tb)| p.build(ta, tb)))
-            .collect();
-        let results = measure_batch(&w.db, &specs, &h.config.measure);
-        let mut tally = ChooserTally::default();
-        for (si, &s) in sels.iter().enumerate() {
-            let (ta, tb) = thr[si];
-            let secs: Vec<f64> =
-                (0..plans.len()).map(|pi| results[pi * ns + si].seconds).collect();
-            let point = point_chooser.choose(&point_est, ta, tb);
-            let robust = robust_chooser.choose(&robust_est, ta, tb);
-            let slice = 1 + slice_chooser.choose(&point_est, ta, tb).plan;
-            // Both tally slots record the slice chooser; only
-            // `slice_tally.point_wrong` is read (one wrong-cell rule,
-            // shared with every other tally).
-            slice_tally.add(&secs, slice, slice);
-            let (pq, rq) = tally.add(&secs, point.plan, robust.plan);
-            csv.push_str(&format!(
-                "correlated,{},{s:e},{s:e},{:e},{:e},{:e},{:e},{},{},{},{pq:e},{rq:e},{:e},{:e}\n",
-                pct as f64 / 100.0,
-                secs[0],
-                secs[1],
-                secs[2],
-                secs[3],
-                plan_short[point.plan],
-                plan_short[robust.plan],
-                plan_short[oracle_of(&secs)],
-                point.margin,
-                robust.margin,
-            ));
-        }
-        let (pw, rw) = tally.wrong_fracs();
+        let w = side_workload(h, PredicateDistribution::CorrelatedHundredths(pct));
+        let diag = part("correlated", pct as f64 / 100.0, &w, false, &Exact::of(&w));
+        let [pt, rt] = diag.regret.each_ref().map(|r| Tally::of(r));
         report.push_str(&format!(
             "{:>6.2} {:>11.1}% {:>12.1}% {:>11.2}x {:>12.2}x\n",
             pct as f64 / 100.0,
-            pw * 100.0,
-            rw * 100.0,
-            tally.point_worst,
-            tally.robust_worst,
+            pt.wrong_frac() * 100.0,
+            rt.wrong_frac() * 100.0,
+            pt.worst,
+            rt.worst,
         ));
         // Hedging against the tail may pick a slightly-worse plan where
         // candidates are near-equal (the paper's robustness-over-peak
         // trade-off) — but any *extra* wrong choices must be benign.
-        hedge_benign &=
-            tally.robust_wrong <= tally.point_wrong || tally.robust_worst <= 1.15;
-        total_point_wrong += tally.point_wrong;
-        total_robust_wrong += tally.robust_wrong;
+        hedge_benign &= rt.wrong <= pt.wrong || rt.worst <= 1.15;
+        total_point_wrong += pt.wrong;
+        total_robust_wrong += rt.wrong;
+        slice_wrong += diag.slice_wrong;
         if pct == 100 {
-            rho1_diag = tally;
+            rho1_diag = [pt, rt];
         }
     }
     suite.check_named(
@@ -1476,17 +1230,17 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
     suite.check_named(
         "diagonal sweep: catalog-wide hedging strictly shrinks the two-join slice chooser's \
          wrong cells",
-        total_point_wrong < slice_tally.point_wrong || slice_tally.point_wrong == 0,
+        total_point_wrong < slice_wrong || slice_wrong == 0,
         format!(
-            "{total_point_wrong} (full catalog) vs {} (two-join slice) of {}",
-            slice_tally.point_wrong,
+            "{total_point_wrong} (full catalog) vs {slice_wrong} (two-join slice) of {}",
             rho_pct.len() * ns
         ),
     );
+    let [pt, rt] = rho1_diag;
     suite.check_named(
         "rho = 1 diagonal: robust worst regret <= point worst regret",
-        rho1_diag.robust_worst <= rho1_diag.point_worst + 1e-9,
-        format!("{:.2}x vs {:.2}x", rho1_diag.robust_worst, rho1_diag.point_worst),
+        rt.worst <= pt.worst + 1e-9,
+        format!("{:.2}x vs {:.2}x", rt.worst, pt.worst),
     );
 
     // --- Part 2: the full (sel_a x sel_b) map at rho = 1, where the
@@ -1495,73 +1249,20 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
     // the chooser cost grids (each cell = the chosen plan's measured
     // seconds) are then changepoint-scored like any plan and ranked on
     // the leaderboard.
-    let w1 = TableBuilder::build_cached(WorkloadConfig {
-        rows,
-        seed,
-        predicate_dist: PredicateDistribution::CorrelatedHundredths(100),
-        mutation_epoch: 0,
-    });
-    let plans1 = correlated_plan_set(&w1);
-    let stats1 = CatalogStats::of(&w1);
-    let joint1 = JointHistogram::build_cached(&w1, &jcfg);
-    let point_est1 = Exact::of(&w1);
-    let robust_est1 = Joint::new(&joint1);
-    let point_chooser1 =
-        Chooser { plans: &plans1, stats: &stats1, model, policy: ChoicePolicy::Point };
-    let robust_chooser1 =
-        Chooser { plans: &plans1, stats: &stats1, model, policy: ChoicePolicy::Robust(rcfg) };
-    let grid = Grid2D::pow2(h.config.grid_exp.min(6));
-    let m2 = build_map2d(&w1, &plans1, &grid, &h.config.measure);
-    let (na, nb) = m2.dims();
-    let mut map_tally = ChooserTally::default();
-    let mut point_regret = vec![1.0f64; na * nb];
-    let mut robust_regret = vec![1.0f64; na * nb];
-    let mut chooser_secs: Vec<Vec<Measurement>> =
-        (0..3).map(|_| Vec::with_capacity(na * nb)).collect();
-    for ia in 0..na {
-        for ib in 0..nb {
-            let (sa, sb) = (m2.sel_a[ia], m2.sel_b[ib]);
-            let (ta, tb) = (w1.cal_a.threshold(sa), w1.cal_b.threshold(sb));
-            let secs: Vec<f64> =
-                (0..plans1.len()).map(|pi| m2.get(pi, ia, ib).seconds).collect();
-            let point = point_chooser1.choose(&point_est1, ta, tb);
-            let robust = robust_chooser1.choose(&robust_est1, ta, tb);
-            let (pq, rq) = map_tally.add(&secs, point.plan, robust.plan);
-            let c = ia * nb + ib;
-            point_regret[c] = pq;
-            robust_regret[c] = rq;
-            let oracle = oracle_of(&secs);
-            for (gi, s) in
-                [secs[point.plan], secs[robust.plan], secs[oracle]].into_iter().enumerate()
-            {
-                chooser_secs[gi].push(Measurement { seconds: s, ..Default::default() });
-            }
-            csv.push_str(&format!(
-                "correlated_map,1,{sa:e},{sb:e},{:e},{:e},{:e},{:e},{},{},{},{pq:e},{rq:e},\
-                 {:e},{:e}\n",
-                secs[0],
-                secs[1],
-                secs[2],
-                secs[3],
-                plan_short[point.plan],
-                plan_short[robust.plan],
-                plan_short[oracle],
-                point.margin,
-                robust.margin,
-            ));
-        }
-    }
-    let (pw, rw) = map_tally.wrong_fracs();
+    let w1 = side_workload(h, PredicateDistribution::CorrelatedHundredths(100));
+    let map = part("correlated_map", 1.0, &w1, true, &Exact::of(&w1));
+    let (na, nb) = map.cm.rel.dims();
+    let [pt, rt] = map.regret.each_ref().map(|r| Tally::of(r));
     report.push_str(&format!(
         "\n(sel_a x sel_b) map at rho = 1, {na}x{nb} grid:\n\
          point chooser:  wrong at {:.1}% of cells, worst regret {:.2}x, mean {:.2}x\n\
          robust chooser: wrong at {:.1}% of cells, worst regret {:.2}x, mean {:.2}x\n",
-        pw * 100.0,
-        map_tally.point_worst,
-        map_tally.point_sum / map_tally.cells as f64,
-        rw * 100.0,
-        map_tally.robust_worst,
-        map_tally.robust_sum / map_tally.cells as f64,
+        pt.wrong_frac() * 100.0,
+        pt.worst,
+        pt.mean(),
+        rt.wrong_frac() * 100.0,
+        rt.worst,
+        rt.mean(),
     ));
     // With the whole catalog to hedge over, the point chooser's residual
     // map errors are cost-*model* errors (both estimators rank the same
@@ -1571,23 +1272,32 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
     // diagonal check above.
     suite.check_named(
         "rho = 1 map: robust wrong-choice fraction no higher than the point chooser's",
-        map_tally.robust_wrong <= map_tally.point_wrong,
-        format!("{:.1}% vs {:.1}%", rw * 100.0, pw * 100.0),
+        rt.wrong <= pt.wrong,
+        format!("{:.1}% vs {:.1}%", rt.wrong_frac() * 100.0, pt.wrong_frac() * 100.0),
     );
     suite.check_named(
         "rho = 1 map: robust worst-cell regret no higher than the point chooser's",
-        map_tally.robust_worst <= map_tally.point_worst + 1e-9,
-        format!("{:.2}x vs {:.2}x", map_tally.robust_worst, map_tally.point_worst),
+        rt.worst <= pt.worst + 1e-9,
+        format!("{:.2}x vs {:.2}x", rt.worst, pt.worst),
     );
+    let chooser_seconds = |pick: &dyn Fn(usize) -> usize| -> Vec<Measurement> {
+        (0..map.cm.cells())
+            .map(|c| Measurement { seconds: map.cm.seconds(pick(c), c), ..Default::default() })
+            .collect()
+    };
     let chooser_map = Map2D::new(
-        m2.sel_a.clone(),
-        m2.sel_b.clone(),
+        map.cm.rel.sel_a.clone(),
+        map.cm.rel.sel_b.clone(),
         vec![
             "point-estimate chooser".to_string(),
             "robust chooser".to_string(),
             "oracle best plan".to_string(),
         ],
-        chooser_secs,
+        vec![
+            chooser_seconds(&|c| map.picks[0][c]),
+            chooser_seconds(&|c| map.picks[1][c]),
+            chooser_seconds(&|c| map.cm.oracle(c)),
+        ],
     );
     let rel = RelativeMap2D::from_map(&chooser_map);
     let scores: Vec<_> =
@@ -1606,15 +1316,7 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
     // --- Part 3: the skewed workload — here the error source is not
     // correlation but coarse marginal statistics; the sample-backed joint
     // histogram sharpens both.
-    let wz = TableBuilder::build_cached(WorkloadConfig {
-        rows,
-        seed,
-        predicate_dist: PredicateDistribution::ZipfHundredths(110),
-        mutation_epoch: 0,
-    });
-    let plansz = correlated_plan_set(&wz);
-    let statsz = CatalogStats::of(&wz);
-    let jointz = JointHistogram::build_cached(&wz, &jcfg);
+    let wz = side_workload(h, PredicateDistribution::ZipfHundredths(110));
     // The coarse catalog the point chooser gets: 8-bucket per-column
     // histograms (the skew-error regime the histogram tests pin).
     let s = robustmap_storage::Session::with_pool_pages(0);
@@ -1626,68 +1328,28 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
     });
     let coarse_a = EquiDepthHistogram::build(vals_a, 8);
     let coarse_b = EquiDepthHistogram::build(vals_b, 8);
-    let coarse_est = Histogram::new(&coarse_a, &coarse_b);
-    let robust_estz = Joint::new(&jointz);
-    let point_chooserz =
-        Chooser { plans: &plansz, stats: &statsz, model, policy: ChoicePolicy::Point };
-    let robust_chooserz =
-        Chooser { plans: &plansz, stats: &statsz, model, policy: ChoicePolicy::Robust(rcfg) };
-    let thr: Vec<(i64, i64)> =
-        sels.iter().map(|&s| (wz.cal_a.threshold(s), wz.cal_b.threshold(s))).collect();
-    let specs: Vec<PlanSpec> = plansz
-        .iter()
-        .flat_map(|p| thr.iter().map(|&(ta, tb)| p.build(ta, tb)))
-        .collect();
-    let results = measure_batch(&wz.db, &specs, &h.config.measure);
-    let mut skew_tally = ChooserTally::default();
-    for (si, &s) in sels.iter().enumerate() {
-        let (ta, tb) = thr[si];
-        let secs: Vec<f64> = (0..plansz.len()).map(|pi| results[pi * ns + si].seconds).collect();
-        let point = point_chooserz.choose(&coarse_est, ta, tb);
-        let robust = robust_chooserz.choose(&robust_estz, ta, tb);
-        let (pq, rq) = skew_tally.add(&secs, point.plan, robust.plan);
-        csv.push_str(&format!(
-            "zipf,0,{s:e},{s:e},{:e},{:e},{:e},{:e},{},{},{},{pq:e},{rq:e},{:e},{:e}\n",
-            secs[0],
-            secs[1],
-            secs[2],
-            secs[3],
-            plan_short[point.plan],
-            plan_short[robust.plan],
-            plan_short[oracle_of(&secs)],
-            point.margin,
-            robust.margin,
-        ));
-    }
-    let (pw, rw) = skew_tally.wrong_fracs();
+    let skew = part("zipf", 0.0, &wz, false, &Histogram::new(&coarse_a, &coarse_b));
+    let [pt, rt] = skew.regret.each_ref().map(|r| Tally::of(r));
     report.push_str(&format!(
         "\nskewed workload (Zipf theta = 1.1, coarse 8-bucket catalog vs joint statistics):\n\
          point chooser wrong at {:.1}% (worst {:.2}x); robust wrong at {:.1}% (worst {:.2}x)\n",
-        pw * 100.0,
-        skew_tally.point_worst,
-        rw * 100.0,
-        skew_tally.robust_worst,
+        pt.wrong_frac() * 100.0,
+        pt.worst,
+        rt.wrong_frac() * 100.0,
+        rt.worst,
     ));
     suite.check_named(
         "skewed workload: robust chooser no worse than the coarse-histogram point chooser",
-        skew_tally.robust_wrong <= skew_tally.point_wrong
-            && skew_tally.robust_worst <= skew_tally.point_worst + 1e-9,
+        rt.wrong <= pt.wrong && rt.worst <= pt.worst + 1e-9,
         format!(
             "wrong {:.1}% vs {:.1}%, worst {:.2}x vs {:.2}x",
-            rw * 100.0,
-            pw * 100.0,
-            skew_tally.robust_worst,
-            skew_tally.point_worst
+            rt.wrong_frac() * 100.0,
+            pt.wrong_frac() * 100.0,
+            rt.worst,
+            pt.worst
         ),
     );
-
-    report.push_str("\nregression checks over the robust-chooser subsystem:\n");
-    let checks = format!(
-        "{}verdict: {}\n",
-        suite.report(),
-        if suite.passed() { "PASS" } else { "FAIL" }
-    );
-    report.push_str(&checks);
+    let checks = push_checks(&mut report, "the robust-chooser subsystem", &suite);
 
     let files = vec![
         h.write_artifact("ext_robust_choice.csv", &csv),
@@ -1695,23 +1357,11 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
         h.write_artifact("ext_robust_choice_checks.txt", &checks),
         h.write_artifact(
             "ext_robust_choice_point_regret.svg",
-            &heatmap_svg(
-                &point_regret,
-                &m2.sel_a,
-                &m2.sel_b,
-                &relative_scale(),
-                "Point-estimate chooser regret at rho = 1",
-            ),
+            &map.cm.svg(&map.regret[0], "Point-estimate chooser regret at rho = 1"),
         ),
         h.write_artifact(
             "ext_robust_choice_robust_regret.svg",
-            &heatmap_svg(
-                &robust_regret,
-                &m2.sel_a,
-                &m2.sel_b,
-                &relative_scale(),
-                "Robust chooser regret at rho = 1",
-            ),
+            &map.cm.svg(&map.regret[1], "Robust chooser regret at rho = 1"),
         ),
     ];
     FigureOutput::new("ext_robust_choice", report, files)
@@ -1737,22 +1387,18 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
 /// static executor (pinned by `tests/adaptive_equivalence.rs`).
 pub fn ext_adaptive(h: &Harness) -> FigureOutput {
     use robustmap_core::render::sanitize;
-    use robustmap_core::{build_map2d, Grid2D, RegressionSuite};
+    use robustmap_core::RegressionSuite;
     use robustmap_executor::{
-        execute_adaptive_count_batched, AdaptiveStats, ExecConfig, ExecCtx, NeverSwitch,
-        SwitchController,
+        execute_adaptive_count_batched, ExecConfig, ExecCtx, NeverSwitch, SwitchController,
     };
-    use robustmap_storage::{BufferPool, Database, Session};
+    use robustmap_storage::{BufferPool, Session};
     use robustmap_systems::choice::{Exact, Joint};
     use robustmap_systems::{
-        two_pred_bail_controller_banded, two_predicate_plans, CatalogStats, ChoicePolicy,
-        Chooser,
-        Estimator, RobustConfig, TwoPredPlan,
+        two_pred_bail_controller_banded, CatalogStats, ChoicePolicy, Chooser, Estimator,
+        RobustConfig, TwoPredPlan,
     };
     use robustmap_workload::gen::PredicateDistribution;
-    use robustmap_workload::{
-        JointHistogram, JointHistogramConfig, TableBuilder, Workload, WorkloadConfig,
-    };
+    use robustmap_workload::{JointHistogram, JointHistogramConfig, Workload};
 
     let rows = h.w.rows().min(1 << 17); // the ext_correlated workload family, reused
     // Credible-band factor for the trip predicate.  The map's outermost
@@ -1762,7 +1408,6 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
     // tighter band; the rho = 0 bit-identity check below guards the other
     // side (no trips where the estimates are right).
     const BAND_FACTOR: f64 = 1.5;
-    let seed = h.w.config.seed;
     let rcfg = RobustConfig::default();
     let jcfg = JointHistogramConfig::default();
     let mcfg = &h.config.measure;
@@ -1770,39 +1415,55 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
     let ec = ExecConfig::from_env();
     let mut suite = RegressionSuite::new();
 
-    let full_catalog = |w: &Workload| -> Vec<TwoPredPlan> {
-        SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, w)).collect()
-    };
-    // The bail destination is always a choice-free System C plan: the
-    // covering MDAM for a tripped fetch/intersect plan, or — when the
-    // tripped plan IS the MDAM — the plain covering scan over the smaller
-    // *exact* marginal (no conjunction estimate enters the pick).
-    let find = |plans: &[TwoPredPlan], frag: &str| -> usize {
-        plans.iter().position(|p| p.name.contains(frag)).expect("plan in catalog")
-    };
-    let fallback_idx = |plans: &[TwoPredPlan],
-                        spec: &PlanSpec,
-                        est: &robustmap_systems::SelEstimates|
-     -> usize {
-        if matches!(spec, PlanSpec::Mdam { .. }) {
-            if est.sel_a <= est.sel_b {
-                find(plans, "covering(a,b) scan")
-            } else {
-                find(plans, "covering(b,a) scan")
-            }
-        } else {
-            find(plans, "mdam")
-        }
-    };
-    // One adaptive execution under exactly the measurement conditions the
-    // static maps use: fresh session (bit-identical to `SweepArena`'s
-    // reset one), same pool, same model, same batched executor.
-    let run_adaptive =
-        |db: &Database, spec: &PlanSpec, ctrl: &dyn SwitchController| -> AdaptiveStats {
-            let s = Session::new(mcfg.model.clone(), BufferPool::new(mcfg.pool_pages, mcfg.policy));
-            let ctx = ExecCtx::new(db, &s, mcfg.memory_bytes);
-            execute_adaptive_count_batched(spec, &ctx, &ec, ctrl).expect("well-formed plan")
+    /// One adaptive run: the plan it finished on, whether it switched,
+    /// and its total seconds (sunk prefix charges included).
+    struct Run {
+        plan: usize,
+        switched: bool,
+        seconds: f64,
+    }
+    // The independence point choice at one cell, run adaptively under
+    // exactly the measurement conditions the static maps use: fresh
+    // session (bit-identical to `SweepArena`'s reset one), same pool, same
+    // model, same batched executor.  The bail destination is always a
+    // choice-free System C plan: the covering MDAM for a tripped
+    // fetch/intersect plan, or — when the tripped plan IS the MDAM — the
+    // plain covering scan over the smaller *exact* marginal (no
+    // conjunction estimate enters the pick).
+    let adapt = |w: &Workload,
+                 plans: &[TwoPredPlan],
+                 stats: &CatalogStats,
+                 point: &Choice,
+                 (ta, tb): (i64, i64)|
+     -> Run {
+        let est = Exact::of(w).estimate(ta, tb);
+        let spec = plans[point.plan].build(ta, tb);
+        let fallback = match spec {
+            PlanSpec::Mdam { .. } if est.sel_a <= est.sel_b => "covering(a,b) scan",
+            PlanSpec::Mdam { .. } => "covering(b,a) scan",
+            _ => "mdam",
         };
+        let fb = plans.iter().position(|p| p.name.contains(fallback)).expect("plan in catalog");
+        let bail = two_pred_bail_controller_banded(
+            &spec,
+            point,
+            plans[fb].build(ta, tb),
+            stats,
+            est,
+            model,
+            rcfg,
+            BAND_FACTOR,
+        );
+        let ctrl: &dyn SwitchController = match &bail {
+            Some(ctrl) => ctrl,
+            None => &NeverSwitch,
+        };
+        let s = Session::new(mcfg.model.clone(), BufferPool::new(mcfg.pool_pages, mcfg.policy));
+        let ctx = ExecCtx::new(&w.db, &s, mcfg.memory_bytes);
+        let run = execute_adaptive_count_batched(&spec, &ctx, &ec, ctrl).expect("well-formed plan");
+        let switched = !run.switches.is_empty();
+        Run { plan: if switched { fb } else { point.plan }, switched, seconds: run.exec.seconds }
+    };
 
     let mut report = String::from(
         "Extension N: adaptive mid-flight plan switching — observed cardinalities vs joint \
@@ -1821,18 +1482,54 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
         robustmap_systems::CARDINALITY_NOISE_ROWS,
     ));
 
+    // Both parts score the point choice and the adaptive run over a cube
+    // and write one CSV row per cell; the returned grids are the point
+    // regret, the adaptive final plan's regret, and the adaptive total
+    // regret (its seconds over the cell's best), and the flag says whether
+    // every unswitched cell was bit-identical to the static measurement.
     let mut csv = String::from(
         "part,rho,sel_a,sel_b,point_choice,final_plan,joint_choice,best_plan,switched,\
          point_regret,adaptive_final_regret,adaptive_total_regret\n",
     );
+    let mut accounting_ok = true;
+    let mut score = |part: &str,
+                     rho: f64,
+                     cm: &ChooserMap,
+                     point: &[Choice],
+                     runs: &[Run],
+                     joint: Option<&[Choice]>|
+     -> ([Vec<f64>; 3], bool) {
+        let regret = [
+            cm.regret(point.iter().map(|c| c.plan)),
+            cm.regret(runs.iter().map(|r| r.plan)),
+            runs.iter().enumerate().map(|(c, r)| r.seconds / cm.seconds(cm.oracle(c), c)).collect(),
+        ];
+        let mut identical = true;
+        for (c, &(sa, sb)) in cm.sels.iter().enumerate() {
+            let run = &runs[c];
+            accounting_ok &= run.seconds >= cm.seconds(run.plan, c) - 1e-12;
+            identical &= run.switched || run.seconds.to_bits() == cm.seconds(run.plan, c).to_bits();
+            csv.push_str(&format!(
+                "{part},{rho},{sa:e},{sb:e},{},{},{},{},{},{:e},{:e},{:e}\n",
+                sanitize(&point[c].name),
+                sanitize(&cm.cube.plans[run.plan]),
+                joint.map_or(String::new(), |j| sanitize(&j[c].name)),
+                sanitize(&cm.cube.plans[cm.oracle(c)]),
+                run.switched as u8,
+                regret[0][c],
+                regret[1][c],
+                regret[2][c],
+            ));
+        }
+        (regret, identical)
+    };
 
     // --- Part 1: the diagonal rho sweep.  At rho = 0 the estimates are
     // right, nothing may trip, and the adaptive executor must be
     // charge-identical to the static one; as rho grows the conjunction
     // underestimate grows as 1/s and the trips begin.
     let rho_pct: [u32; 5] = [0, 25, 50, 75, 100];
-    let max_exp = h.config.grid_exp.min(10) as i32;
-    let sels: Vec<f64> = (0..=max_exp).rev().map(|e| 0.5f64.powi(e)).collect();
+    let sels = diagonal_sels(h);
     let ns = sels.len();
     report.push_str(&format!(
         "\ndiagonal sweep (15-plan catalog):\n{:>6} {:>12} {:>14} {:>12} {:>14} {:>9}\n",
@@ -1841,76 +1538,32 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
     let mut total_point_wrong = 0usize;
     let mut total_adaptive_wrong = 0usize;
     let mut rho0_identity = true;
-    let mut accounting_ok = true;
     for &pct in &rho_pct {
-        let w = TableBuilder::build_cached(WorkloadConfig {
-            rows,
-            seed,
-            predicate_dist: PredicateDistribution::CorrelatedHundredths(pct),
-            mutation_epoch: 0,
-        });
+        let w = side_workload(h, PredicateDistribution::CorrelatedHundredths(pct));
         let plans = full_catalog(&w);
         let stats = CatalogStats::of(&w);
-        let exact = Exact::of(&w);
         let chooser = Chooser { plans: &plans, stats: &stats, model, policy: ChoicePolicy::Point };
-        let thr: Vec<(i64, i64)> =
-            sels.iter().map(|&s| (w.cal_a.threshold(s), w.cal_b.threshold(s))).collect();
-        let specs: Vec<PlanSpec> = plans
-            .iter()
-            .flat_map(|p| thr.iter().map(|&(ta, tb)| p.build(ta, tb)))
-            .collect();
-        let results = measure_batch(&w.db, &specs, mcfg);
-        let mut tally = ChooserTally::default();
-        let mut switches = 0usize;
-        let mut worst_total = 0.0f64;
-        for (si, &s) in sels.iter().enumerate() {
-            let (ta, tb) = thr[si];
-            let secs: Vec<f64> =
-                (0..plans.len()).map(|pi| results[pi * ns + si].seconds).collect();
-            let point = chooser.choose(&exact, ta, tb);
-            let est = exact.estimate(ta, tb);
-            let spec = plans[point.plan].build(ta, tb);
-            let fb_idx = fallback_idx(&plans, &spec, &est);
-            let fallback = plans[fb_idx].build(ta, tb);
-            let astats = match two_pred_bail_controller_banded(
-                &spec, &point, fallback, &stats, est, model, rcfg, BAND_FACTOR,
-            ) {
-                Some(ctrl) => run_adaptive(&w.db, &spec, &ctrl),
-                None => run_adaptive(&w.db, &spec, &NeverSwitch),
-            };
-            let switched = !astats.switches.is_empty();
-            let final_plan = if switched { fb_idx } else { point.plan };
-            switches += switched as usize;
-            let (pq, aq) = tally.add(&secs, point.plan, final_plan);
-            let best = secs.iter().copied().fold(f64::INFINITY, f64::min).max(1e-12);
-            let total_q = astats.exec.seconds / best;
-            worst_total = worst_total.max(total_q);
-            accounting_ok &= astats.exec.seconds >= secs[final_plan] - 1e-12;
-            if pct == 0 {
-                rho0_identity &= !switched
-                    && astats.exec.seconds.to_bits() == secs[point.plan].to_bits();
-            }
-            csv.push_str(&format!(
-                "diagonal,{},{s:e},{s:e},{},{},,{},{},{pq:e},{aq:e},{total_q:e}\n",
-                pct as f64 / 100.0,
-                sanitize(&plans[point.plan].name),
-                sanitize(&plans[final_plan].name),
-                sanitize(&plans[oracle_of(&secs)].name),
-                switched as u8,
-            ));
+        let cm = ChooserMap::diagonal(h, &w, &plans, pct as f64 / 100.0, &sels);
+        let point = cm.choose(&chooser, &Exact::of(&w));
+        let runs: Vec<Run> =
+            point.iter().zip(&cm.thr).map(|(p, &t)| adapt(&w, &plans, &stats, p, t)).collect();
+        let switches = runs.iter().filter(|r| r.switched).count();
+        let (regret, identical) = score("diagonal", pct as f64 / 100.0, &cm, &point, &runs, None);
+        if pct == 0 {
+            rho0_identity = switches == 0 && identical;
         }
-        let (pw, aw) = tally.wrong_fracs();
+        let [pt, at, tt] = regret.map(|r| Tally::of(&r));
         report.push_str(&format!(
             "{:>6.2} {:>11.1}% {:>13.1}% {:>11.2}x {:>13.2}x {:>9}\n",
             pct as f64 / 100.0,
-            pw * 100.0,
-            aw * 100.0,
-            tally.point_worst,
-            worst_total,
+            pt.wrong_frac() * 100.0,
+            at.wrong_frac() * 100.0,
+            pt.worst,
+            tt.worst,
             switches,
         ));
-        total_point_wrong += tally.point_wrong;
-        total_adaptive_wrong += tally.robust_wrong;
+        total_point_wrong += pt.wrong;
+        total_adaptive_wrong += at.wrong;
     }
     suite.check_named(
         "diagonal sweep: adaptive final-plan wrong cells <= the independence point chooser's",
@@ -1927,86 +1580,27 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
     // claim.  The joint point chooser (compile-time statistics, PR 5's
     // estimator) is the baseline the run-time fix must match without
     // those statistics.
-    let w1 = TableBuilder::build_cached(WorkloadConfig {
-        rows,
-        seed,
-        predicate_dist: PredicateDistribution::CorrelatedHundredths(100),
-        mutation_epoch: 0,
-    });
+    let w1 = side_workload(h, PredicateDistribution::CorrelatedHundredths(100));
     let plans1 = full_catalog(&w1);
     let stats1 = CatalogStats::of(&w1);
     let joint1 = JointHistogram::build_cached(&w1, &jcfg);
-    let exact1 = Exact::of(&w1);
     let joint_est1 = Joint::new(&joint1);
     let point_chooser =
         Chooser { plans: &plans1, stats: &stats1, model, policy: ChoicePolicy::Point };
-    let robust_chooser =
-        Chooser { plans: &plans1, stats: &stats1, model, policy: ChoicePolicy::Robust(rcfg) };
-    let grid = Grid2D::pow2(h.config.grid_exp.min(6));
-    let m2 = build_map2d(&w1, &plans1, &grid, mcfg);
-    let (na, nb) = m2.dims();
-    let mut est_tally = ChooserTally::default(); // indep point vs joint point (PR baseline)
-    let mut adapt_tally = ChooserTally::default(); // indep point vs adaptive final plan
-    let mut robust_tally = ChooserTally::default(); // indep point vs robust-over-joint
-    let mut point_regret = vec![1.0f64; na * nb];
-    let mut adaptive_regret = vec![1.0f64; na * nb];
-    let mut worst_total = 0.0f64;
-    let mut sum_total = 0.0f64;
-    let mut switched_cells = 0usize;
-    let mut contested_cells = 0usize;
-    let mut unswitched_identity = true;
-    for ia in 0..na {
-        for ib in 0..nb {
-            let (sa, sb) = (m2.sel_a[ia], m2.sel_b[ib]);
-            let (ta, tb) = (w1.cal_a.threshold(sa), w1.cal_b.threshold(sb));
-            let secs: Vec<f64> =
-                (0..plans1.len()).map(|pi| m2.get(pi, ia, ib).seconds).collect();
-            let point = point_chooser.choose(&exact1, ta, tb);
-            let joint_choice = point_chooser.choose(&joint_est1, ta, tb);
-            let robust = robust_chooser.choose(&joint_est1, ta, tb);
-            contested_cells += point.is_contested(0.25) as usize;
-            let est = exact1.estimate(ta, tb);
-            let spec = plans1[point.plan].build(ta, tb);
-            let fb_idx = fallback_idx(&plans1, &spec, &est);
-            let fallback = plans1[fb_idx].build(ta, tb);
-            let astats = match two_pred_bail_controller_banded(
-                &spec, &point, fallback, &stats1, est, model, rcfg, BAND_FACTOR,
-            ) {
-                Some(ctrl) => run_adaptive(&w1.db, &spec, &ctrl),
-                None => run_adaptive(&w1.db, &spec, &NeverSwitch),
-            };
-            let switched = !astats.switches.is_empty();
-            let final_plan = if switched { fb_idx } else { point.plan };
-            switched_cells += switched as usize;
-            est_tally.add(&secs, point.plan, joint_choice.plan);
-            robust_tally.add(&secs, point.plan, robust.plan);
-            let (pq, aq) = adapt_tally.add(&secs, point.plan, final_plan);
-            let best = secs.iter().copied().fold(f64::INFINITY, f64::min).max(1e-12);
-            let total_q = astats.exec.seconds / best;
-            worst_total = worst_total.max(total_q);
-            sum_total += total_q;
-            accounting_ok &= astats.exec.seconds >= secs[final_plan] - 1e-12;
-            if !switched {
-                unswitched_identity &=
-                    astats.exec.seconds.to_bits() == secs[point.plan].to_bits();
-            }
-            let c = ia * nb + ib;
-            point_regret[c] = pq;
-            adaptive_regret[c] = total_q;
-            csv.push_str(&format!(
-                "map,1,{sa:e},{sb:e},{},{},{},{},{},{pq:e},{aq:e},{total_q:e}\n",
-                sanitize(&plans1[point.plan].name),
-                sanitize(&plans1[final_plan].name),
-                sanitize(&plans1[joint_choice.plan].name),
-                sanitize(&plans1[oracle_of(&secs)].name),
-                switched as u8,
-            ));
-        }
-    }
-    let cells = adapt_tally.cells as f64;
-    let (pw, aw) = adapt_tally.wrong_fracs();
-    let (_, jw) = est_tally.wrong_fracs();
-    let (_, rw) = robust_tally.wrong_fracs();
+    let robust_chooser = Chooser { policy: ChoicePolicy::Robust(rcfg), ..point_chooser };
+    let m2 = ChooserMap::map(h, &w1, &plans1);
+    let (na, nb) = m2.rel.dims();
+    let point = m2.choose(&point_chooser, &Exact::of(&w1));
+    let joint = m2.choose(&point_chooser, &joint_est1);
+    let robust = m2.choose(&robust_chooser, &joint_est1);
+    let runs: Vec<Run> =
+        point.iter().zip(&m2.thr).map(|(p, &t)| adapt(&w1, &plans1, &stats1, p, t)).collect();
+    let contested_cells = point.iter().filter(|c| c.is_contested(0.25)).count();
+    let switched_cells = runs.iter().filter(|r| r.switched).count();
+    let (regret, unswitched_identity) = score("map", 1.0, &m2, &point, &runs, Some(&joint));
+    let [pt, at, tt] = regret.each_ref().map(|r| Tally::of(r));
+    let [jt, rt] = [&joint, &robust].map(|ch| Tally::of(&m2.regret(ch.iter().map(|c| c.plan))));
+    let n = m2.cells() as f64;
     report.push_str(&format!(
         "\n(sel_a x sel_b) map at rho = 1, {na}x{nb} grid, 15-plan catalog (switched at {:.1}% \
          of cells, independence choice contested at {:.1}%):\n\
@@ -2015,34 +1609,34 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
          joint robust chooser:       wrong at {:.1}% of cells, worst regret {:.2}x\n\
          adaptive (independence):    wrong at {:.1}% of cells, worst total regret {:.2}x \
          (sunk switch cost included, mean {:.2}x)\n",
-        switched_cells as f64 / cells * 100.0,
-        contested_cells as f64 / cells * 100.0,
-        pw * 100.0,
-        adapt_tally.point_worst,
-        jw * 100.0,
-        est_tally.robust_worst,
-        rw * 100.0,
-        robust_tally.robust_worst,
-        aw * 100.0,
-        worst_total,
-        sum_total / cells,
+        switched_cells as f64 / n * 100.0,
+        contested_cells as f64 / n * 100.0,
+        pt.wrong_frac() * 100.0,
+        pt.worst,
+        jt.wrong_frac() * 100.0,
+        jt.worst,
+        rt.wrong_frac() * 100.0,
+        rt.worst,
+        at.wrong_frac() * 100.0,
+        tt.worst,
+        tt.mean(),
     ));
     suite.check_named(
         "rho = 1 map: adaptive wrong-choice fraction <= the joint estimator's (no joint \
          statistics at run time)",
-        adapt_tally.robust_wrong <= est_tally.robust_wrong,
-        format!("{:.1}% vs {:.1}%", aw * 100.0, jw * 100.0),
+        at.wrong <= jt.wrong,
+        format!("{:.1}% vs {:.1}%", at.wrong_frac() * 100.0, jt.wrong_frac() * 100.0),
     );
     suite.check_named(
         "rho = 1 map: adaptive wrong-choice fraction <= the independence point chooser's",
-        adapt_tally.robust_wrong <= adapt_tally.point_wrong,
-        format!("{:.1}% vs {:.1}%", aw * 100.0, pw * 100.0),
+        at.wrong <= pt.wrong,
+        format!("{:.1}% vs {:.1}%", at.wrong_frac() * 100.0, pt.wrong_frac() * 100.0),
     );
     suite.check_named(
         "rho = 1 map: adaptive worst total regret (sunk cost included) <= the point chooser's \
          worst regret",
-        worst_total <= adapt_tally.point_worst + 1e-9,
-        format!("{:.2}x vs {:.2}x", worst_total, adapt_tally.point_worst),
+        tt.worst <= pt.worst + 1e-9,
+        format!("{:.2}x vs {:.2}x", tt.worst, pt.worst),
     );
     suite.check_named(
         "rho = 1 map: unswitched cells bit-identical to the static map measurement",
@@ -2054,35 +1648,19 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
         accounting_ok,
         String::new(),
     );
-
-    report.push_str("\nregression checks over the adaptive executor:\n");
-    let checks = format!(
-        "{}verdict: {}\n",
-        suite.report(),
-        if suite.passed() { "PASS" } else { "FAIL" }
-    );
-    report.push_str(&checks);
+    let checks = push_checks(&mut report, "the adaptive executor", &suite);
 
     let files = vec![
         h.write_artifact("ext_adaptive.csv", &csv),
         h.write_artifact("ext_adaptive_checks.txt", &checks),
         h.write_artifact(
             "ext_adaptive_point_regret.svg",
-            &heatmap_svg(
-                &point_regret,
-                &m2.sel_a,
-                &m2.sel_b,
-                &relative_scale(),
-                "Independence point chooser regret at rho = 1 (15 plans)",
-            ),
+            &m2.svg(&regret[0], "Independence point chooser regret at rho = 1 (15 plans)"),
         ),
         h.write_artifact(
             "ext_adaptive_regret.svg",
-            &heatmap_svg(
-                &adaptive_regret,
-                &m2.sel_a,
-                &m2.sel_b,
-                &relative_scale(),
+            &m2.svg(
+                &regret[2],
                 "Adaptive executor total regret at rho = 1 (sunk switch cost included)",
             ),
         ),
@@ -2148,7 +1726,7 @@ pub fn ext_buffer(h: &Harness) -> FigureOutput {
 pub fn ext_concurrency(h: &Harness) -> FigureOutput {
     use robustmap_core::regression::RegressionSuite;
     use robustmap_core::{serve_concurrent, ServeConfig};
-    use robustmap_systems::{two_predicate_plans, AdmissionConfig};
+    use robustmap_systems::AdmissionConfig;
     use robustmap_workload::{TableBuilder, WorkloadConfig};
 
     // Serving multiplies work by the burst size, so the concurrency maps
@@ -2169,10 +1747,7 @@ pub fn ext_concurrency(h: &Harness) -> FigureOutput {
         ..base_serve.clone()
     };
 
-    let plans: Vec<robustmap_systems::TwoPredPlan> = SystemId::all()
-        .into_iter()
-        .flat_map(|s| two_predicate_plans(s, &w))
-        .collect();
+    let plans = full_catalog(&w);
     let specs: Vec<PlanSpec> =
         plans.iter().map(|p| p.build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4))).collect();
     let isolated: Vec<_> = specs.iter().map(|s| measure_plan(&w.db, s, &mcfg)).collect();
@@ -2444,13 +2019,7 @@ pub fn ext_concurrency(h: &Harness) -> FigureOutput {
         format!("grants(KiB) {:?}", grants.iter().map(|g| g >> 10).collect::<Vec<_>>()),
     );
 
-    report.push_str("\nregression checks over the serving layer:\n");
-    let checks = format!(
-        "{}verdict: {}\n",
-        suite.report(),
-        if suite.passed() { "PASS" } else { "FAIL" }
-    );
-    report.push_str(&checks);
+    let checks = push_checks(&mut report, "the serving layer", &suite);
 
     let level_axis: Vec<f64> = levels.iter().map(|&n| n as f64).collect();
     let plan_axis: Vec<f64> = (1..=plans.len()).map(|p| p as f64).collect();
@@ -2460,11 +2029,10 @@ pub fn ext_concurrency(h: &Harness) -> FigureOutput {
         h.write_artifact("ext_concurrency_checks.txt", &checks),
         h.write_artifact(
             "ext_concurrency.svg",
-            &heatmap_svg(
+            &relative_svg(
                 &slowdown,
                 &plan_axis,
                 &level_axis,
-                &relative_scale(),
                 "Per-plan slowdown under concurrency (x: plan index, y: concurrency level)",
             ),
         ),
@@ -2494,15 +2062,14 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
         op_profile_csv, slice_totals, validate_trace, TraceDetail, TraceEventKind, TraceSink,
     };
     use robustmap_storage::{BufferPool, Session};
-    use robustmap_systems::{two_predicate_plans, AdmissionConfig};
+    use robustmap_systems::AdmissionConfig;
     use robustmap_workload::{TableBuilder, WorkloadConfig};
 
     let rows = h.config.rows.min(1 << 14);
     let w = TableBuilder::build_cached(WorkloadConfig::with_rows(rows));
     let pool_pages = ((rows / 512) as usize).max(32);
     let mcfg = MeasureConfig { pool_pages, ..h.config.measure.clone() };
-    let plans: Vec<robustmap_systems::TwoPredPlan> =
-        SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, &w)).collect();
+    let plans = full_catalog(&w);
     let specs: Vec<PlanSpec> = (0..8)
         .map(|j| plans[(j * 2) % plans.len()].build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4)))
         .collect();
@@ -2775,13 +2342,7 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
         "simulated seconds",
     );
 
-    report.push_str("\nregression checks over the tracing layer:\n");
-    let checks = format!(
-        "{}verdict: {}\n",
-        suite.report(),
-        if suite.passed() { "PASS" } else { "FAIL" }
-    );
-    report.push_str(&checks);
+    let checks = push_checks(&mut report, "the tracing layer", &suite);
 
     let mut metrics = sink.metrics();
     metrics.merge(&bail_sink.metrics());
@@ -2822,7 +2383,7 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
 /// of the fresh rebuild, the staleness-aware estimator widens its
 /// credible region, and the mutation epoch re-keys the stats cache.
 pub fn ext_churn(h: &Harness) -> FigureOutput {
-    use robustmap_core::{Measurement, RegressionSuite};
+    use robustmap_core::RegressionSuite;
     use robustmap_storage::Session;
     use robustmap_systems::choice::{Joint, Maintained, Stale};
     use robustmap_systems::{CatalogStats, ChoicePolicy, Chooser};
@@ -2879,8 +2440,6 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
     // subsystem at zero churn changes nothing".
     let w_static = TableBuilder::build_cached(cfg.clone());
     let mut w_churn = TableBuilder::build_cached(cfg.clone());
-    let thr: Vec<(i64, i64)> =
-        sels.iter().map(|&s| (w_churn.cal_a.threshold(s), w_churn.cal_b.threshold(s))).collect();
     // The contested pair: table scan vs hash intersect.  The intersect's
     // cost is per-index-entry CPU and key-ordered leaf scans, so churn
     // cannot skew it physically — B+-tree entries interleave in key
@@ -2898,12 +2457,7 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
         plans.swap_remove(1); // drop the inl fetch
         plans
     };
-    let sweep = |w: &Workload| -> Vec<Measurement> {
-        let plans = catalog(w);
-        let specs: Vec<PlanSpec> =
-            plans.iter().flat_map(|p| thr.iter().map(|&(ta, tb)| p.build(ta, tb))).collect();
-        measure_batch(&w.db, &specs, &h.config.measure)
-    };
+    let sweep = |w: &Workload, frac: f64| ChooserMap::diagonal(h, w, &catalog(w), frac, &sels);
 
     let base_joint = JointHistogram::build_cached(&w_churn, &jcfg);
     let mut maint = MaintainedJoint::new(base_joint.clone());
@@ -2911,37 +2465,38 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
     let mut driver = ChurnDriver::new(&w_churn, churn_cfg);
     let churn_session = Session::with_pool_pages(64);
 
-    let static_sweep = sweep(&w_static);
-    let churn0_sweep = sweep(&w_churn);
-    let bit_identical = static_sweep.len() == churn0_sweep.len()
-        && static_sweep.iter().zip(&churn0_sweep).all(|(a, b)| {
+    let static_sweep = sweep(&w_static, 0.0);
+    let churn0_sweep = sweep(&w_churn, 0.0);
+    let plans = catalog(&w_churn);
+    let bit_identical = (0..plans.len()).all(|p| {
+        static_sweep.cube.plan_grid(p).iter().zip(churn0_sweep.cube.plan_grid(p)).all(|(a, b)| {
             a.seconds.to_bits() == b.seconds.to_bits() && a.io == b.io && a.rows == b.rows
-        });
+        })
+    });
     suite.check_named(
         "zero churn: the sweep through the churn-engine workload is bit-identical \
          (seconds.to_bits + IoStats) to the static executor's",
         bit_identical,
-        format!("{} specs compared", static_sweep.len()),
+        format!("{} specs compared", plans.len() * ns),
     );
 
-    let plans = catalog(&w_churn);
     let plan_short = ["scan", "hash"];
     let mut csv = String::from(
         "fraction,sel,table_scan,hash_intersect,frozen_choice,\
          maint_choice,fresh_choice,oracle_choice,frozen_regret,maint_regret,fresh_regret,\
          fraction_modified,drift\n",
     );
-    let mut frozen_regret = vec![1.0f64; nl * ns];
-    let mut maint_regret = vec![1.0f64; nl * ns];
-    let mut wrong = [[0usize; 3]; 6]; // per level: frozen, maintained, fresh
-    let mut worst = [[1.0f64; 3]; 6];
+    let mut frozen_regret = Vec::with_capacity(nl * ns);
+    let mut maint_regret = Vec::with_capacity(nl * ns);
+    let mut wrong = Vec::with_capacity(nl); // per level: frozen, maintained, fresh
     let mut churn_seconds = 0.0f64;
     let mut churn_writes = 0u64;
     report.push_str(&format!(
         "\n{:>9} {:>9} {:>13} {:>13} {:>13} {:>7}\n",
         "fraction", "drift", "frozen wrong", "maint wrong", "fresh wrong", "live"
     ));
-    for (li, &frac) in fractions.iter().enumerate() {
+    let mut churn0_sweep = Some(churn0_sweep);
+    for &frac in &fractions {
         if frac > 0.0 {
             for b in driver.apply_until_fraction(&mut w_churn, &churn_session, frac) {
                 churn_seconds += b.seconds;
@@ -2949,59 +2504,46 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
                 maint.apply(&b);
             }
         }
-        let results = if li == 0 { churn0_sweep.clone() } else { sweep(&w_churn) };
+        let cm = churn0_sweep.take().unwrap_or_else(|| sweep(&w_churn, frac));
         let stats = CatalogStats::of(&w_churn);
         let fresh_joint = JointHistogram::from_workload(&w_churn, &jcfg);
-        let frozen_est = Joint::new(&base_joint);
-        let maint_est = Maintained::new(&maint);
-        let fresh_est = Joint::new(&fresh_joint);
         let chooser = Chooser { plans: &plans, stats: &stats, model, policy: ChoicePolicy::Point };
         let meter = maint.staleness();
+        let picks = [
+            cm.choose(&chooser, &Joint::new(&base_joint)),
+            cm.choose(&chooser, &Maintained::new(&maint)),
+            cm.choose(&chooser, &Joint::new(&fresh_joint)),
+        ];
+        let regret = picks.each_ref().map(|p| cm.regret(p.iter().map(|c| c.plan)));
         for (si, &s) in sels.iter().enumerate() {
-            let (ta, tb) = thr[si];
-            let secs: Vec<f64> =
-                (0..plans.len()).map(|pi| results[pi * ns + si].seconds).collect();
-            let best = secs.iter().copied().fold(f64::INFINITY, f64::min).max(1e-12);
-            let picks = [
-                chooser.choose(&frozen_est, ta, tb).plan,
-                chooser.choose(&maint_est, ta, tb).plan,
-                chooser.choose(&fresh_est, ta, tb).plan,
-            ];
-            let mut regrets = [1.0f64; 3];
-            for (ci, &p) in picks.iter().enumerate() {
-                let q = secs[p] / best;
-                regrets[ci] = q;
-                if q > 1.001 {
-                    wrong[li][ci] += 1;
-                }
-                worst[li][ci] = worst[li][ci].max(q);
-            }
-            frozen_regret[li * ns + si] = regrets[0];
-            maint_regret[li * ns + si] = regrets[1];
             csv.push_str(&format!(
                 "{frac},{s:e},{:e},{:e},{},{},{},{},{:e},{:e},{:e},{:.6},{:.6}\n",
-                secs[0],
-                secs[1],
-                plan_short[picks[0]],
-                plan_short[picks[1]],
-                plan_short[picks[2]],
-                plan_short[oracle_of(&secs)],
-                regrets[0],
-                regrets[1],
-                regrets[2],
+                cm.seconds(0, si),
+                cm.seconds(1, si),
+                plan_short[picks[0][si].plan],
+                plan_short[picks[1][si].plan],
+                plan_short[picks[2][si].plan],
+                plan_short[cm.oracle(si)],
+                regret[0][si],
+                regret[1][si],
+                regret[2][si],
                 meter.fraction_modified,
                 meter.drift,
             ));
         }
+        let level = regret.each_ref().map(|r| Tally::of(r).wrong);
         report.push_str(&format!(
             "{:>9.2} {:>9.3} {:>10}/{ns} {:>10}/{ns} {:>10}/{ns} {:>7}\n",
             meter.fraction_modified,
             meter.drift,
-            wrong[li][0],
-            wrong[li][1],
-            wrong[li][2],
+            level[0],
+            level[1],
+            level[2],
             driver.live_rows(),
         ));
+        wrong.push(level);
+        frozen_regret.extend_from_slice(&regret[0]);
+        maint_regret.extend_from_slice(&regret[1]);
     }
 
     suite.check_named(
@@ -3035,7 +2577,7 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
         wrong[nl - 1][1] <= wrong[nl - 1][2] + 1,
         format!("{}/{ns} vs {}/{ns} wrong cells", wrong[nl - 1][1], wrong[nl - 1][2]),
     );
-    let (ta_mid, tb_mid) = thr[ns / 2];
+    let (ta_mid, tb_mid) = static_sweep.thr[ns / 2];
     let stale_est = Stale::new(&base_joint, meter);
     let (ra_stale, rb_stale) = stale_est.radii(ta_mid, tb_mid);
     let (ra_base, rb_base) = Joint::new(&base_joint).radii(ta_mid, tb_mid);
@@ -3065,34 +2607,26 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
         meter.drift,
     ));
 
-    report.push_str("\nregression checks over the churn subsystem:\n");
-    let checks = format!(
-        "{}verdict: {}\n",
-        suite.report(),
-        if suite.passed() { "PASS" } else { "FAIL" }
-    );
-    report.push_str(&checks);
+    let checks = push_checks(&mut report, "the churn subsystem", &suite);
 
     let files = vec![
         h.write_artifact("ext_churn.csv", &csv),
         h.write_artifact("ext_churn_checks.txt", &checks),
         h.write_artifact(
             "ext_churn_frozen_regret.svg",
-            &heatmap_svg(
+            &relative_svg(
                 &frozen_regret,
                 &fractions,
                 &sels,
-                &relative_scale(),
                 "Frozen-statistics chooser regret over fraction modified (x) and selectivity (y)",
             ),
         ),
         h.write_artifact(
             "ext_churn_maint_regret.svg",
-            &heatmap_svg(
+            &relative_svg(
                 &maint_regret,
                 &fractions,
                 &sels,
-                &relative_scale(),
                 "Maintained-statistics chooser regret over fraction modified (x) and selectivity (y)",
             ),
         ),

@@ -19,8 +19,36 @@ use robustmap_systems::{single_predicate_plans, SinglePredPlanSet};
 
 use crate::harness::{FigureOutput, Harness};
 
-fn ansi_opts() -> AsciiOptions {
+pub(crate) fn ansi_opts() -> AsciiOptions {
     AsciiOptions { ansi: false, cell_width: 2 }
+}
+
+/// A relative-map figure (Figures 7-9): `plan`'s quotient grid as the
+/// report's ASCII head (`titles[0]`), then the figure's own `body`, then
+/// the every-plan relative summary; the quotient CSV and the plan's SVG
+/// (`titles[1]`) as artifacts.
+fn relative_figure(
+    h: &Harness,
+    name: &str,
+    rel: &RelativeMap2D,
+    plan: usize,
+    titles: [&str; 2],
+    body: String,
+) -> FigureOutput {
+    let quotients = rel.quotient_grid(plan);
+    let (sel_a, sel_b) = (&rel.sel_a, &rel.sel_b);
+    let mut report =
+        render_map2d_ansi(quotients, sel_a, sel_b, &relative_scale(), titles[0], &ansi_opts());
+    report.push_str(&body);
+    report.push_str(&relative_report(rel));
+    let files = vec![
+        h.write_artifact(&format!("{name}.csv"), &quotients_to_csv(rel)),
+        h.write_artifact(
+            &format!("{name}.svg"),
+            &heatmap_svg(quotients, sel_a, sel_b, &relative_scale(), titles[1]),
+        ),
+    ];
+    FigureOutput::new(name, report, files)
 }
 
 /// Figures 3 and 6: the color legends (written as standalone SVGs and
@@ -200,21 +228,12 @@ pub fn fig7(h: &Harness) -> FigureOutput {
     let map = h.map_system_a();
     let rel = RelativeMap2D::from_map(&map);
     let plan = map.plan_index("A2 idx(a) fetch").expect("System A plan");
-    let quotients = rel.quotient_grid(plan).to_vec();
-    let mut report = render_map2d_ansi(
-        &quotients,
-        &rel.sel_a,
-        &rel.sel_b,
-        &relative_scale(),
-        "Figure 7: single-index plan vs. best of 7 plans (cost factor)",
-        &ansi_opts(),
-    );
-    report.push_str(&format!(
+    let mut body = format!(
         "worst quotient: {:.0}x (paper: ~101,000x at 60M rows; the quotient scales with table size)\n",
         rel.worst_quotient(plan)
-    ));
+    );
     let region = RegionStats::of(&rel.optimal_region(plan, OptimalityTolerance::Factor(1.2)));
-    report.push_str(&format!(
+    body.push_str(&format!(
         "optimality region (within 20% of best): {:.1}% of the space, {} component(s){}\n",
         region.coverage * 100.0,
         region.component_count,
@@ -224,15 +243,11 @@ pub fn fig7(h: &Harness) -> FigureOutput {
             " — contiguous in our implementation (the paper attributes its discontiguity to an implementation idiosyncrasy)"
         },
     ));
-    report.push_str(&relative_report(&rel));
-    let files = vec![
-        h.write_artifact("fig7.csv", &quotients_to_csv(&rel)),
-        h.write_artifact(
-            "fig7.svg",
-            &heatmap_svg(&quotients, &rel.sel_a, &rel.sel_b, &relative_scale(), "Figure 7: single-index plan vs best of 7"),
-        ),
+    let titles = [
+        "Figure 7: single-index plan vs. best of 7 plans (cost factor)",
+        "Figure 7: single-index plan vs best of 7",
     ];
-    FigureOutput::new("fig7", report, files)
+    relative_figure(h, "fig7", &rel, plan, titles, body)
 }
 
 /// Figure 8: System B's two-column-index plan (bitmap-sorted fetch),
@@ -242,40 +257,27 @@ pub fn fig8(h: &Harness) -> FigureOutput {
     let map = all.subset_by_prefix("B");
     let rel = RelativeMap2D::from_map(&map);
     let plan = map.plan_index("B1 idx(a,b) bitmap fetch").expect("System B plan");
-    let quotients = rel.quotient_grid(plan).to_vec();
-    let mut report = render_map2d_ansi(
-        &quotients,
-        &rel.sel_a,
-        &rel.sel_b,
-        &relative_scale(),
-        "Figure 8: System B two-column index + bitmap fetch (cost factor)",
-        &ansi_opts(),
-    );
     let region = RegionStats::of(&rel.optimal_region(plan, OptimalityTolerance::Factor(1.2)));
-    report.push_str(&format!(
+    let mut body = format!(
         "near-optimal (within 20%) over {:.1}% of the space; worst quotient {:.0}x\n",
         region.coverage * 100.0,
         rel.worst_quotient(plan)
-    ));
+    );
     // The paper's comparison: better worst-case than Figure 7's plan.
     let a_map = h.map_system_a();
     let a_rel = RelativeMap2D::from_map(&a_map);
     let a_plan = a_map.plan_index("A2 idx(a) fetch").expect("System A plan");
-    report.push_str(&format!(
+    body.push_str(&format!(
         "worst quotient vs Figure 7's plan: {:.0}x vs {:.0}x — \"its worst quotient is not as \
          bad as the one of the prior plan\"\n",
         rel.worst_quotient(plan),
         a_rel.worst_quotient(a_plan)
     ));
-    report.push_str(&relative_report(&rel));
-    let files = vec![
-        h.write_artifact("fig8.csv", &quotients_to_csv(&rel)),
-        h.write_artifact(
-            "fig8.svg",
-            &heatmap_svg(&quotients, &rel.sel_a, &rel.sel_b, &relative_scale(), "Figure 8: System B bitmap-fetch plan vs best of System B"),
-        ),
+    let titles = [
+        "Figure 8: System B two-column index + bitmap fetch (cost factor)",
+        "Figure 8: System B bitmap-fetch plan vs best of System B",
     ];
-    FigureOutput::new("fig8", report, files)
+    relative_figure(h, "fig8", &rel, plan, titles, body)
 }
 
 /// Figure 9: System C's MDAM plan over the covering two-column index,
@@ -285,36 +287,23 @@ pub fn fig9(h: &Harness) -> FigureOutput {
     let map = all.subset_by_prefix("C");
     let rel = RelativeMap2D::from_map(&map);
     let plan = map.plan_index("C1 mdam(a,b) covering").expect("System C plan");
-    let quotients = rel.quotient_grid(plan).to_vec();
-    let mut report = render_map2d_ansi(
-        &quotients,
-        &rel.sel_a,
-        &rel.sel_b,
-        &relative_scale(),
-        "Figure 9: System C covering index + MDAM (cost factor)",
-        &ansi_opts(),
-    );
-    report.push_str(&format!(
+    let mut body = format!(
         "worst quotient: {:.1}x; within 10x of best over {:.1}% of the space — \"reasonable \
          across the entire parameter space, albeit not optimal\"\n",
         rel.worst_quotient(plan),
         rel.area_within(plan, 10.0) * 100.0,
-    ));
+    );
     let optimal = rel.optimal_region(plan, OptimalityTolerance::Factor(1.001));
-    report.push_str(&format!(
+    body.push_str(&format!(
         "exactly optimal (factor 1) at {:.1}% of points — \"very [many] data points indicate \
          that this plan is the best\"\n",
         optimal.fraction() * 100.0
     ));
-    report.push_str(&relative_report(&rel));
-    let files = vec![
-        h.write_artifact("fig9.csv", &quotients_to_csv(&rel)),
-        h.write_artifact(
-            "fig9.svg",
-            &heatmap_svg(&quotients, &rel.sel_a, &rel.sel_b, &relative_scale(), "Figure 9: System C MDAM plan vs best of System C"),
-        ),
+    let titles = [
+        "Figure 9: System C covering index + MDAM (cost factor)",
+        "Figure 9: System C MDAM plan vs best of System C",
     ];
-    FigureOutput::new("fig9", report, files)
+    relative_figure(h, "fig9", &rel, plan, titles, body)
 }
 
 /// Figure 10: the optimal-plans map — most points have several optimal

@@ -81,6 +81,11 @@ impl FigureOutput {
     }
 }
 
+/// All fifteen two-predicate plans of the three systems, in system order.
+pub(crate) fn full_catalog(w: &Workload) -> Vec<TwoPredPlan> {
+    SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, w)).collect()
+}
+
 /// Workload + caches shared by all figure functions.
 pub struct Harness {
     /// The built workload.
@@ -178,10 +183,7 @@ impl Harness {
     /// once.
     pub fn map_all_systems(&self) -> Map2D {
         if self.map_all.borrow().is_none() {
-            let plans: Vec<TwoPredPlan> = SystemId::all()
-                .into_iter()
-                .flat_map(|s| two_predicate_plans(s, &self.w))
-                .collect();
+            let plans = full_catalog(&self.w);
             let map = build_map2d(&self.w, &plans, &self.grid2d(), &self.config.measure);
             *self.map_all.borrow_mut() = Some(map);
         }

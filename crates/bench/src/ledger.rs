@@ -22,6 +22,8 @@ use robustmap_core::{build_map2d, Grid2D, Map2D, MeasureConfig};
 use robustmap_systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap_workload::Workload;
 
+use crate::harness::full_catalog;
+
 /// Memory grant of the grace section: far below a smoke-scale build side,
 /// so the hash intersections partition wherever a side holds more than
 /// 1,024 rids.
@@ -35,9 +37,7 @@ const HEADER: &str = "section,plan,sel_a,sel_b,seconds_bits,seq_reads,single_rea
 /// Measure the ledger over `w` on a `2^-grid_exp ..= 1` grid and render it.
 pub fn rid_path_ledger(w: &Workload, grid_exp: u32) -> String {
     let grid = Grid2D::pow2(grid_exp);
-    let all: Vec<TwoPredPlan> =
-        SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, w)).collect();
-    let map = build_map2d(w, &all, &grid, &MeasureConfig::default());
+    let map = build_map2d(w, &full_catalog(w), &grid, &MeasureConfig::default());
     let hash: Vec<TwoPredPlan> = two_predicate_plans(SystemId::A, w)
         .into_iter()
         .filter(|p| p.name.contains("hash"))

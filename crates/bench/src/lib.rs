@@ -16,6 +16,7 @@
 //! bench` regenerates every figure and times the substrate.
 
 pub mod baseline;
+mod chooser_map;
 pub mod figures_ext;
 pub mod figures_paper;
 pub mod harness;

@@ -31,7 +31,17 @@ fn figure_reports_contain_their_key_markers() {
         ("ext_join", &["sort-merge", "hash build-left", "hash build-right", "wins at"]),
         ("ext_parallel", &["dop", "speedup at dop 16", "skew"]),
         ("ext_skew", &["Zipf", "improved"]),
-        ("ext_optimizer", &["estimate error", "mean regret", "exact", "16x under"]),
+        (
+            "ext_optimizer",
+            &[
+                "estimate error",
+                "mean regret",
+                "exact",
+                "16x under",
+                "regression checks over the estimator comparison",
+                "verdict: PASS",
+            ],
+        ),
         (
             "ext_correlated",
             &[
@@ -43,6 +53,15 @@ fn figure_reports_contain_their_key_markers() {
                 "regression checks over the correlated scenario",
             ],
         ),
+        (
+            "ext_robust_choice",
+            &["diagonal sweep", "chooser leaderboard", "skewed workload", "verdict: PASS"],
+        ),
+        (
+            "ext_adaptive",
+            &["diagonal sweep (15-plan catalog)", "adaptive (independence)", "verdict: PASS"],
+        ),
+        ("ext_churn", &["frozen wrong", "churn cost charged", "verdict: PASS"]),
         ("ext_regression", &["monotone", "contiguous optimality region", "verdict"]),
     ];
     for (fig, needles) in expectations {

@@ -18,8 +18,6 @@ use robustmap_executor::{FetchKind, PlanSpec};
 use robustmap_storage::CostModel;
 use robustmap_workload::Workload;
 
-use crate::two_pred::TwoPredPlan;
-
 /// Compile-time selectivity estimates for the two predicate columns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelEstimates {
@@ -303,30 +301,10 @@ pub fn estimate_fetch(
     }
 }
 
-/// The optimizer: estimate every plan and return the index of the cheapest
-/// (ties break to the lower index, deterministically).
-#[deprecated(
-    note = "use `choice::Chooser` with `ChoicePolicy::Point` — this free \
-            function is a thin shim over it (bit-identical, pinned by \
-            `tests/prop_choice.rs`)"
-)]
-pub fn choose_plan(
-    plans: &[TwoPredPlan],
-    ta: i64,
-    tb: i64,
-    stats: &CatalogStats,
-    est: &SelEstimates,
-    model: &CostModel,
-) -> usize {
-    crate::choice::Chooser { plans, stats, model, policy: crate::choice::ChoicePolicy::Point }
-        .choose_at(est, ta, tb)
-        .plan
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shim's behaviour is pinned here
 mod tests {
     use super::*;
+    use crate::choice::{ChoicePolicy, Chooser};
     use crate::two_pred::two_predicate_plans;
     use crate::SystemId;
     use robustmap_workload::{TableBuilder, WorkloadConfig};
@@ -365,37 +343,37 @@ mod tests {
     fn chooser_prefers_index_plans_for_tiny_results() {
         let (w, stats, model) = setup();
         let plans = two_predicate_plans(SystemId::A, &w);
+        let chooser =
+            Chooser { plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Point };
         let (ta, tb) = (w.cal_a.threshold(0.001), w.cal_b.threshold(0.001));
-        let chosen = choose_plan(&plans, ta, tb, &stats, &SelEstimates::exact(0.001, 0.001), &model);
-        assert_ne!(plans[chosen].name, "A1 table scan", "tiny results want an index plan");
+        let chosen = chooser.choose_at(&SelEstimates::exact(0.001, 0.001), ta, tb);
+        assert_ne!(chosen.name, "A1 table scan", "tiny results want an index plan");
     }
 
     #[test]
     fn chooser_prefers_the_table_scan_for_full_results() {
         let (w, stats, model) = setup();
         let plans = two_predicate_plans(SystemId::A, &w);
+        let chooser =
+            Chooser { plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Point };
         let (ta, tb) = (w.cal_a.threshold(1.0), w.cal_b.threshold(1.0));
-        let chosen = choose_plan(&plans, ta, tb, &stats, &SelEstimates::exact(1.0, 1.0), &model);
-        assert_eq!(plans[chosen].name, "A1 table scan");
+        let chosen = chooser.choose_at(&SelEstimates::exact(1.0, 1.0), ta, tb);
+        assert_eq!(chosen.name, "A1 table scan");
     }
 
     #[test]
     fn estimation_error_changes_the_choice() {
         let (w, stats, model) = setup();
         let plans = two_predicate_plans(SystemId::A, &w);
+        let chooser =
+            Chooser { plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Point };
         // True selectivity is high (table scan territory), but the
         // optimizer believes it is tiny: it picks an index plan.
         let (ta, tb) = (w.cal_a.threshold(0.5), w.cal_b.threshold(0.5));
-        let honest = choose_plan(&plans, ta, tb, &stats, &SelEstimates::exact(0.5, 0.5), &model);
-        let fooled = choose_plan(
-            &plans,
-            ta,
-            tb,
-            &stats,
-            &SelEstimates::with_error(0.5, 0.5, 1.0 / 512.0, 1.0 / 512.0),
-            &model,
-        );
-        assert_ne!(plans[honest].name, plans[fooled].name);
+        let honest = chooser.choose_at(&SelEstimates::exact(0.5, 0.5), ta, tb);
+        let fooled_est = SelEstimates::with_error(0.5, 0.5, 1.0 / 512.0, 1.0 / 512.0);
+        let fooled = chooser.choose_at(&fooled_est, ta, tb);
+        assert_ne!(honest.name, fooled.name);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Penalty-aware robust plan selection under estimation uncertainty.
 //!
-//! [`crate::optimizer::choose_plan`] is the textbook chooser: argmin of
-//! estimated cost at the *point* estimate.  The `ext_correlated`
+//! [`ChoicePolicy::Point`](crate::choice::ChoicePolicy::Point) is the
+//! textbook chooser: argmin of estimated cost at the *point* estimate.  The `ext_correlated`
 //! experiment showed how that fails — feed it a cardinality that is wrong
 //! by `rho / s` and it freezes on the wrong join across the whole
 //! correlation sweep.  Modern robust-plan work (PARQO's penalty-aware
@@ -18,14 +18,14 @@
 //! estimate but catastrophic one histogram bucket away carries its
 //! catastrophe into the score, while a flat (robust) plan is scored at
 //! roughly its point cost.  With a single hypothesis and
-//! `penalty_weight = 0` the robust chooser degenerates to `choose_plan`
-//! exactly (unit-tested below).
+//! `penalty_weight = 0` the robust chooser degenerates to the point
+//! chooser exactly (unit-tested below).
 //!
-//! The hypothesis set comes from [`uncertainty_region`]: a 3 × 3 credible
-//! box around the [`JointHistogram`]'s estimate, one marginal-bucket
-//! resolution wide per axis — the statistics cannot distinguish
-//! selectivities closer than a bucket, so that is exactly the region the
-//! chooser should hedge over.  Each hypothesis keeps the histogram's
+//! The hypothesis set comes from [`credible_region`]: a 3 × 3 credible
+//! box around the [`JointHistogram`]'s estimate, at least one
+//! marginal-bucket resolution wide per axis — the statistics cannot
+//! distinguish selectivities closer than a bucket, so that is the least
+//! region the chooser should hedge over.  Each hypothesis keeps the histogram's
 //! observed correlation lift (`sel_ab / (sel_a * sel_b)`) and stays inside
 //! the Fréchet bounds, so the region never hypothesises an incoherent
 //! joint selectivity.
@@ -64,18 +64,11 @@ pub struct SelHypothesis {
 }
 
 /// The credible box of selectivity hypotheses around the joint
-/// histogram's estimate at `(ta, tb)` with the *fixed* bucket-resolution
-/// half-widths: `credible_region` at ± one marginal bucket per axis.
-/// The variance-adaptive widths live in [`crate::choice::Joint`].
-pub fn uncertainty_region(joint: &JointHistogram, ta: i64, tb: i64) -> Vec<SelHypothesis> {
-    credible_region(joint, ta, tb, joint.resolution_a(), joint.resolution_b())
-}
-
-/// The credible box with explicit half-widths: a 3 × 3 grid spanning
-/// ± `radius_a` / ± `radius_b` around the joint estimate, triangular
-/// weights (¼, ½, ¼ per axis), center = [`SelEstimates::from_joint`].
-/// Every hypothesis keeps the histogram's observed correlation lift and
-/// stays inside the Fréchet bounds.
+/// histogram's estimate at `(ta, tb)`: a 3 × 3 grid spanning
+/// ± `radius_a` / ± `radius_b`, triangular weights (¼, ½, ¼ per axis),
+/// center = [`SelEstimates::from_joint`].  Every hypothesis keeps the
+/// histogram's observed correlation lift and stays inside the Fréchet
+/// bounds.  [`crate::choice::Joint`] picks the variance-adaptive radii.
 pub fn credible_region(
     joint: &JointHistogram,
     ta: i64,
@@ -147,64 +140,10 @@ pub fn region_cost(
     (expected, tail)
 }
 
-/// The robust chooser: return the index of the plan minimizing
-/// `expected + penalty_weight * tail` over the hypothesis region (ties
-/// break to the lower index, deterministically).
-#[deprecated(
-    note = "use `choice::Chooser` with `ChoicePolicy::Robust` — this free \
-            function is a thin shim over it"
-)]
-pub fn choose_plan_robust(
-    plans: &[TwoPredPlan],
-    ta: i64,
-    tb: i64,
-    stats: &CatalogStats,
-    region: &[SelHypothesis],
-    model: &CostModel,
-    cfg: &RobustConfig,
-) -> usize {
-    crate::choice::Chooser {
-        plans,
-        stats,
-        model,
-        policy: crate::choice::ChoicePolicy::Robust(*cfg),
-    }
-    .choose_over(region, ta, tb)
-    .plan
-}
-
-/// Convenience: build the [`uncertainty_region`] from `joint` at
-/// `(ta, tb)` and choose robustly over it.
-#[deprecated(
-    note = "use `choice::Chooser` with a `choice::Joint` estimator and \
-            `ChoicePolicy::Robust` — this free function is a thin shim \
-            over them (with the fixed bucket-resolution region)"
-)]
-pub fn choose_plan_with_joint(
-    plans: &[TwoPredPlan],
-    ta: i64,
-    tb: i64,
-    stats: &CatalogStats,
-    joint: &JointHistogram,
-    model: &CostModel,
-    cfg: &RobustConfig,
-) -> usize {
-    let region = uncertainty_region(joint, ta, tb);
-    crate::choice::Chooser {
-        plans,
-        stats,
-        model,
-        policy: crate::choice::ChoicePolicy::Robust(*cfg),
-    }
-    .choose_over(&region, ta, tb)
-    .plan
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims' degeneration contracts are pinned here
 mod tests {
     use super::*;
-    use crate::optimizer::choose_plan;
+    use crate::choice::{ChoicePolicy, Chooser};
     use crate::two_pred::two_predicate_plans;
     use crate::SystemId;
     use robustmap_workload::gen::PredicateDistribution;
@@ -220,14 +159,16 @@ mod tests {
     fn single_hypothesis_no_penalty_degenerates_to_the_point_chooser() {
         let (w, stats, model) = setup();
         let plans = two_predicate_plans(SystemId::A, &w);
+        let point =
+            Chooser { plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Point };
         let cfg = RobustConfig { tail_quantile: 1.0, penalty_weight: 0.0 };
+        let robust = Chooser { policy: ChoicePolicy::Robust(cfg), ..point };
         for sel in [0.001, 0.05, 0.5, 1.0] {
             let (ta, tb) = (w.cal_a.threshold(sel), w.cal_b.threshold(sel));
             let est = SelEstimates::exact(sel, sel);
             let region = [SelHypothesis { est, weight: 1.0 }];
-            let point = choose_plan(&plans, ta, tb, &stats, &est, &model);
-            let robust = choose_plan_robust(&plans, ta, tb, &stats, &region, &model, &cfg);
-            assert_eq!(point, robust, "sel {sel}");
+            let robust_pick = robust.choose_over(&region, ta, tb).plan;
+            assert_eq!(point.choose_at(&est, ta, tb).plan, robust_pick, "sel {sel}");
         }
     }
 
@@ -247,8 +188,16 @@ mod tests {
         ];
         let expected_only = RobustConfig { tail_quantile: 0.95, penalty_weight: 0.0 };
         let penalised = RobustConfig { tail_quantile: 0.95, penalty_weight: 10.0 };
-        let lean = choose_plan_robust(&plans, ta, tb, &stats, &region, &model, &expected_only);
-        let hedged = choose_plan_robust(&plans, ta, tb, &stats, &region, &model, &penalised);
+        let pick = |cfg: RobustConfig| {
+            let chooser = Chooser {
+                plans: &plans,
+                stats: &stats,
+                model: &model,
+                policy: ChoicePolicy::Robust(cfg),
+            };
+            chooser.choose_over(&region, ta, tb).plan
+        };
+        let (lean, hedged) = (pick(expected_only), pick(penalised));
         // The hedged choice must never have a worse tail than the lean one
         // (that is the penalty's whole point), and on this region it is a
         // strictly different, tail-safer plan.
@@ -263,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn uncertainty_region_is_a_coherent_probability_box() {
+    fn bucket_resolution_credible_region_is_a_coherent_probability_box() {
         let w = TableBuilder::build(WorkloadConfig {
             rows: 1 << 14,
             seed: 31,
@@ -276,7 +225,8 @@ mod tests {
         );
         for sel in [0.01, 0.25, 0.9] {
             let (ta, tb) = (w.cal_a.threshold(sel), w.cal_b.threshold(sel));
-            let region = uncertainty_region(&joint, ta, tb);
+            let region =
+                credible_region(&joint, ta, tb, joint.resolution_a(), joint.resolution_b());
             assert_eq!(region.len(), 9);
             let wsum: f64 = region.iter().map(|h| h.weight).sum();
             assert!((wsum - 1.0).abs() < 1e-12, "weights sum to {wsum}");
@@ -301,7 +251,7 @@ mod tests {
             &JointHistogramConfig::default(),
         );
         let (ta, tb) = (w.cal_a.threshold(0.1), w.cal_b.threshold(0.1));
-        let region = uncertainty_region(&joint, ta, tb);
+        let region = credible_region(&joint, ta, tb, joint.resolution_a(), joint.resolution_b());
         let cfg = RobustConfig::default();
         for plan in &plans {
             let (expected, tail) = region_cost(plan, ta, tb, &stats, &region, &model, &cfg);
